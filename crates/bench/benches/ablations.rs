@@ -2,7 +2,7 @@
 //!
 //! * ODE steppers (Euler vs RK4 vs adaptive Dormand–Prince) on the
 //!   homogeneous model;
-//! * all-pairs routing precomputation cost by topology;
+//! * routing-table precomputation cost by topology;
 //! * rate-limiter mechanisms judging a scanning workload;
 //! * cap-weight normalization modes when building a backbone plan.
 
@@ -16,7 +16,7 @@ use dynaquar_ratelimit::window::UniqueIpWindow;
 use dynaquar_ratelimit::{RateLimiter, RemoteKey};
 use dynaquar_topology::generators;
 use dynaquar_topology::roles::{assign_by_degree, nodes_with_role, Role};
-use dynaquar_topology::routing::RoutingTable;
+use dynaquar_topology::HierRouting;
 use std::hint::black_box;
 
 fn logistic_system() -> FnSystem<impl Fn(f64, &[f64], &mut [f64])> {
@@ -48,12 +48,12 @@ fn routing_precompute(c: &mut Criterion) {
     for &n in &[200usize, 500] {
         let graph = generators::barabasi_albert(n, 2, 7).expect("valid");
         group.bench_with_input(BenchmarkId::new("power_law", n), &graph, |b, g| {
-            b.iter(|| black_box(RoutingTable::shortest_paths(g)))
+            b.iter(|| black_box(HierRouting::new(g)))
         });
     }
     let star = generators::star(500).expect("valid");
     group.bench_function("star_500", |b| {
-        b.iter(|| black_box(RoutingTable::shortest_paths(&star.graph)))
+        b.iter(|| black_box(HierRouting::new(&star.graph)))
     });
     group.finish();
 }
@@ -100,7 +100,7 @@ fn limiter_mechanisms(c: &mut Criterion) {
 
 fn cap_normalization(c: &mut Criterion) {
     let graph = generators::barabasi_albert(300, 2, 7).expect("valid");
-    let routing = RoutingTable::shortest_paths(&graph);
+    let routing = HierRouting::new(&graph);
     let roles = assign_by_degree(&graph, 0.05, 0.10);
     let backbone = nodes_with_role(&roles, Role::Backbone);
     let mut group = c.benchmark_group("cap_normalization");

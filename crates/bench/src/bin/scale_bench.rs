@@ -1,13 +1,11 @@
-//! Scaling benchmark for the routing backends and stepping strategies
-//! on large power-law worlds.
+//! Scaling benchmark for the routing backends on large power-law
+//! worlds.
 //!
 //! ```text
 //! scale_bench [--sizes N,N,..] [--horizon T] [--seed S] [--initial I]
-//!             [--strategy tick|event] [--dense-limit N] [--full]
+//!             [--dense-limit N] [--full]
 //!             [--cache N] [--out FILE] [--check FILE] [--tolerance PCT]
 //!             [--smoke N --max-rss-mb MB]
-//! scale_bench --event-bench FILE [--sizes N,N,..] ...
-//! scale_bench --check-event FILE [--tolerance PCT]
 //! scale_bench --routing-bench FILE [--horizon T] [--seed S] ...
 //! scale_bench --check-routing FILE [--tolerance PCT]
 //! scale_bench --single HOSTS BACKEND [--subnet B,S,H] [--horizon T] ...
@@ -16,19 +14,21 @@
 //! For each `hosts × backend` case the orchestrator re-executes itself
 //! (`--single`) so every configuration gets its own process — peak RSS
 //! is read from `/proc/self/status` `VmHWM`, which is monotone within a
-//! process and would otherwise smear the dense table's high-water mark
+//! process and would otherwise smear the hier table's high-water mark
 //! over the lazy cases. Each child builds a Barabási–Albert world under
 //! the requested [`RoutingKind`], runs one seeded simulation, and
 //! prints a single JSON row; the parent collects the rows into
 //! `results/BENCH_scale.json` together with an in-process
-//! dense-vs-lazy bit-identity verdict at n = 1000.
+//! hier-vs-lazy bit-identity verdict at n = 1000.
 //!
-//! The default grid runs the dense backend only up to `--dense-limit`
-//! (10k: the 8·n² table is 0.8 GB there and 80 GB at 100k); skipped
-//! cases are listed, not silent. `--full` forces the complete cross
-//! product for machines with the memory to take it.
+//! Flat power-law graphs (minimum degree 2) do not peel, so the hier
+//! backend's core table is the whole all-pairs table there: the default
+//! grid runs hier only up to `--dense-limit` (10k: the 8·n² table is
+//! 0.8 GB there and 80 GB at 100k); skipped cases are listed, not
+//! silent. `--full` forces the complete cross product for machines with
+//! the memory to take it.
 //!
-//! `--check FILE` is the CI guard: re-measures the dense n = 1000 case
+//! `--check FILE` is the CI guard: re-measures the hier n = 1000 case
 //! and fails if its host-ticks/s regressed more than `--tolerance`
 //! percent (default 30) against the recorded row, or if the two
 //! backends stopped being bit-identical.
@@ -37,30 +37,17 @@
 //! n = N world under the lazy backend, runs the configured horizon, and
 //! fails if peak RSS exceeded the ceiling.
 //!
-//! `--event-bench FILE` runs the stepping-strategy axis: for every size
-//! the lazy-backend world is simulated under both the tick and the
-//! event strategy (same seed, same config — the engines are
-//! bit-identical, so the rows differ only in wall clock), the per-size
-//! speedup is recorded, and an in-process tick-vs-event bit-identity
-//! verdict at n = 1000 rounds out the report, written to FILE
-//! (`results/BENCH_event.json` in CI).
-//!
-//! `--check-event FILE` is the matching CI guard: re-measures the event
-//! n = 1000 lazy case against the recorded row under `--tolerance`, and
-//! fails if tick and event stopped being bit-identical.
-//!
 //! `--routing-bench FILE` runs the routing-backend axis on the
 //! *hierarchical* subnet worlds where the two-level backend earns its
 //! keep (flat power-law graphs don't peel, so the main grid tells that
-//! story): dense, lazy, and hier children per world, the per-world
-//! hier-over-lazy speedup, the dense n ≈ 10k build time, and an
-//! in-process three-way bit-identity verdict, written to FILE
-//! (`results/BENCH_routing.json` in CI).
+//! story): lazy and hier children per world, the per-world
+//! hier-over-lazy speedup, and an in-process bit-identity verdict,
+//! written to FILE (`results/BENCH_routing.json` in CI).
 //!
 //! `--check-routing FILE` is the matching CI guard: re-measures the
 //! hier case on the n ≈ 10k subnet world against the recorded row
-//! under `--tolerance`, and fails if dense, lazy, and hier stopped
-//! being bit-identical on a subnet world.
+//! under `--tolerance`, and fails if lazy and hier stopped being
+//! bit-identical on a subnet world.
 //!
 //! `--shard-bench FILE` runs the intra-world sharding axis: the busy
 //! n ≈ 100k subnet world is simulated by one child per shard count
@@ -81,7 +68,6 @@
 
 use dynaquar_netsim::config::{SimConfig, WormBehavior};
 use dynaquar_netsim::sim::Simulator;
-use dynaquar_netsim::strategy::SimStrategy;
 use dynaquar_netsim::{ShardSpec, World};
 use dynaquar_topology::generators;
 use dynaquar_topology::lazy::RoutingKind;
@@ -108,9 +94,6 @@ struct Args {
     smoke: Option<usize>,
     max_rss_mb: Option<f64>,
     single: Option<(usize, String)>,
-    strategy: SimStrategy,
-    event_bench: Option<PathBuf>,
-    check_event: Option<PathBuf>,
     routing_bench: Option<PathBuf>,
     check_routing: Option<PathBuf>,
     /// `--subnet B,S,H`: build a hierarchical subnet world instead of
@@ -140,12 +123,6 @@ fn parse_args() -> Result<Args, String> {
         smoke: None,
         max_rss_mb: None,
         single: None,
-        // Explicit tick: the recorded BENCH_scale baselines predate the
-        // event engine, and `Auto` would silently flip every world
-        // above the size threshold onto it.
-        strategy: SimStrategy::Tick,
-        event_bench: None,
-        check_event: None,
         routing_bench: None,
         check_routing: None,
         subnet: None,
@@ -189,9 +166,6 @@ fn parse_args() -> Result<Args, String> {
                 let backend = value("--single")?;
                 args.single = Some((hosts, backend));
             }
-            "--strategy" => args.strategy = value("--strategy")?.parse()?,
-            "--event-bench" => args.event_bench = Some(PathBuf::from(value("--event-bench")?)),
-            "--check-event" => args.check_event = Some(PathBuf::from(value("--check-event")?)),
             "--routing-bench" => {
                 args.routing_bench = Some(PathBuf::from(value("--routing-bench")?))
             }
@@ -214,9 +188,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: scale_bench [--sizes N,N,..] [--horizon T] [--seed S] \
-                     [--initial I] [--beta B] [--strategy tick|event] [--dense-limit N] [--full] \
+                     [--initial I] [--beta B] [--dense-limit N] [--full] \
                      [--cache N] [--out FILE] [--check FILE] [--tolerance PCT] \
-                     [--smoke N --max-rss-mb MB] [--event-bench FILE] [--check-event FILE] \
+                     [--smoke N --max-rss-mb MB] \
                      [--routing-bench FILE] [--check-routing FILE] [--subnet B,S,H] \
                      [--shard-bench FILE] [--check-shard FILE] [--shards N]"
                     .to_string())
@@ -254,20 +228,18 @@ fn peak_rss_mb() -> f64 {
 /// the same memory-budgeted capacity `Auto` would pick for `hosts`.
 fn routing_kind(backend: &str, hosts: usize, cache: Option<usize>) -> Result<RoutingKind, String> {
     match backend {
-        "dense" => Ok(RoutingKind::Dense),
         "lazy" => Ok(RoutingKind::Lazy {
             max_cached_destinations: cache
                 .unwrap_or_else(|| dynaquar_topology::lazy::default_cache_capacity(hosts)),
         }),
         "hier" => Ok(RoutingKind::Hier),
-        other => Err(format!("unknown backend {other} (want dense|lazy|hier)")),
+        other => Err(format!("unknown backend {other} (want lazy|hier)")),
     }
 }
 
 struct CaseResult {
     hosts: usize,
     backend: String,
-    strategy: SimStrategy,
     shards: Option<u32>,
     build_secs: f64,
     run_secs: f64,
@@ -284,13 +256,12 @@ impl CaseResult {
             .map(|k| format!("\"shards\": {k}, "))
             .unwrap_or_default();
         format!(
-            "{{\"hosts\": {}, \"backend\": \"{}\", \"strategy\": \"{}\", {}\
+            "{{\"hosts\": {}, \"backend\": \"{}\", {}\
              \"build_secs\": {:.4}, \
              \"run_secs\": {:.4}, \"host_ticks_per_sec\": {:.1}, \"peak_rss_mb\": {:.1}, \
              \"ever_infected_hosts\": {}, \"delivered_packets\": {}}}",
             self.hosts,
             self.backend,
-            self.strategy,
             shards,
             self.build_secs,
             self.run_secs,
@@ -309,7 +280,6 @@ impl CaseResult {
 fn run_case(
     nodes: usize,
     kind: RoutingKind,
-    strategy: SimStrategy,
     args: &Args,
 ) -> (f64, f64, usize, dynaquar_netsim::sim::SimResult) {
     let t0 = Instant::now();
@@ -342,8 +312,7 @@ fn run_case(
     builder
         .beta(args.beta)
         .horizon(args.horizon)
-        .initial_infected(args.initial)
-        .strategy(strategy);
+        .initial_infected(args.initial);
     if let Some(shards) = args.shards {
         // Shard-bench cases keep the delayed-immunization sweep live so
         // the sharded per-(tick, host) hash path is on the clock, not
@@ -364,11 +333,10 @@ fn run_case(
 /// Child-process mode: run one case, print one JSON row on stdout.
 fn run_single(hosts: usize, backend: &str, args: &Args) -> Result<(), String> {
     let kind = routing_kind(backend, hosts, args.cache)?;
-    let (build_secs, run_secs, host_count, result) = run_case(hosts, kind, args.strategy, args);
+    let (build_secs, run_secs, host_count, result) = run_case(hosts, kind, args);
     let row = CaseResult {
         hosts,
         backend: backend.to_string(),
-        strategy: args.strategy,
         shards: args.shards,
         build_secs,
         run_secs,
@@ -383,19 +351,12 @@ fn run_single(hosts: usize, backend: &str, args: &Args) -> Result<(), String> {
 }
 
 /// Spawns `--single hosts backend` as a child process and parses its row.
-fn spawn_case(
-    hosts: usize,
-    backend: &str,
-    strategy: SimStrategy,
-    args: &Args,
-) -> Result<String, String> {
+fn spawn_case(hosts: usize, backend: &str, args: &Args) -> Result<String, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut cmd = std::process::Command::new(exe);
     cmd.arg("--single")
         .arg(hosts.to_string())
         .arg(backend)
-        .arg("--strategy")
-        .arg(strategy.to_string())
         .arg("--horizon")
         .arg(args.horizon.to_string())
         .arg("--seed")
@@ -447,134 +408,82 @@ fn find_row<'t>(text: &'t str, hosts: usize, backend: &str) -> Option<&'t str> {
     Some(&text[at..end])
 }
 
-/// The recorded row for `hosts`+`backend`+`strategy` inside a
-/// BENCH_event report (rows there carry the strategy axis).
-fn find_strategy_row<'t>(
-    text: &'t str,
+/// The CI throughput clause: re-measures `hosts`/`backend` in a child
+/// and compares its host-ticks/s with the row recorded in
+/// `baseline_path`. False, after saying why, when the row is missing or
+/// the case slowed by more than `--tolerance` percent.
+fn throughput_holds(
+    baseline_path: &std::path::Path,
     hosts: usize,
     backend: &str,
-    strategy: SimStrategy,
-) -> Option<&'t str> {
-    let needle =
-        format!("\"hosts\": {hosts}, \"backend\": \"{backend}\", \"strategy\": \"{strategy}\"");
-    let at = text.find(&needle)?;
-    let end = text[at..].find('}').map(|e| at + e)?;
-    Some(&text[at..end])
-}
-
-/// In-process differential: dense, lazy, and hier must produce `==`
-/// SimResults on the same n = 1000 world-seed-config triple.
-fn backends_bit_identical(args: &Args) -> bool {
-    let (_, _, _, dense) = run_case(1_000, RoutingKind::Dense, args.strategy, args);
-    let (_, _, _, lazy) = run_case(
-        1_000,
-        RoutingKind::Lazy {
-            max_cached_destinations: 64,
-        },
-        args.strategy,
-        args,
+    args: &Args,
+) -> bool {
+    let text = match std::fs::read_to_string(baseline_path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", baseline_path.display());
+            return false;
+        }
+    };
+    let Some(recorded) =
+        find_row(&text, hosts, backend).and_then(|row| json_f64(row, "host_ticks_per_sec"))
+    else {
+        eprintln!(
+            "no {backend} n={hosts} row in {} — regenerate the baseline",
+            baseline_path.display()
+        );
+        return false;
+    };
+    let row = match spawn_case(hosts, backend, args) {
+        Ok(r) => r,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return false;
+        }
+    };
+    let measured = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0);
+    let pct = if recorded > 0.0 {
+        (1.0 - measured / recorded) * 100.0
+    } else {
+        0.0
+    };
+    println!(
+        "{backend} n={hosts}: {measured:.0} host-ticks/s vs recorded {recorded:.0} \
+         (slowdown {pct:+.1}%, tolerance {:.1}%)",
+        args.tolerance_pct
     );
-    let (_, _, _, hier) = run_case(1_000, RoutingKind::Hier, args.strategy, args);
-    dense == lazy && dense == hier
+    if pct > args.tolerance_pct {
+        eprintln!(
+            "REGRESSION: {backend} n={hosts} slowed {pct:.1}% > {:.1}% tolerance",
+            args.tolerance_pct
+        );
+        return false;
+    }
+    true
 }
 
-/// In-process differential on the hier backend's home turf: a subnet
-/// world (n = 491, backbone ring core) under all three backends.
+/// In-process differential: lazy and hier must produce `==` SimResults
+/// on the same world-seed-config triple (`args` picks the world).
+fn backends_bit_identical(nodes: usize, args: &Args) -> bool {
+    let lazy = RoutingKind::Lazy {
+        max_cached_destinations: 64,
+    };
+    let (_, _, _, hier) = run_case(nodes, RoutingKind::Hier, args);
+    let (_, _, _, lazy) = run_case(nodes, lazy, args);
+    hier == lazy
+}
+
+/// The differential on the hier backend's home turf: a subnet world
+/// (n = 491, backbone ring core).
 fn subnet_backends_bit_identical(args: &Args) -> bool {
     let mut sub = args.clone();
     sub.subnet = Some((3, 8, 60));
-    let n = 3 + 8 * 61;
-    let (_, _, _, dense) = run_case(n, RoutingKind::Dense, args.strategy, &sub);
-    let (_, _, _, lazy) = run_case(
-        n,
-        RoutingKind::Lazy {
-            max_cached_destinations: 64,
-        },
-        args.strategy,
-        &sub,
-    );
-    let (_, _, _, hier) = run_case(n, RoutingKind::Hier, args.strategy, &sub);
-    dense == lazy && dense == hier
+    backends_bit_identical(3 + 8 * 61, &sub)
 }
 
-/// In-process differential: the tick and event stepping strategies must
-/// produce `==` SimResults on the same n = 1000 lazy world.
-fn strategies_bit_identical(args: &Args) -> bool {
-    let kind = RoutingKind::Lazy {
-        max_cached_destinations: 64,
-    };
-    let (_, _, _, tick) = run_case(1_000, kind, SimStrategy::Tick, args);
-    let (_, _, _, event) = run_case(1_000, kind, SimStrategy::Event, args);
-    tick == event
-}
-
-/// The `--event-bench` mode: the stepping-strategy axis on the lazy
-/// backend, one tick and one event child per size, plus the per-size
-/// speedup and an in-process bit-identity verdict.
-fn run_event_bench(out: &std::path::Path, args: &Args) -> ExitCode {
-    println!(
-        "strategy benchmark: sizes {:?}, horizon {}, seed {}, {} initial infections, beta {}",
-        args.sizes, args.horizon, args.seed, args.initial, args.beta
-    );
-    let mut rows: Vec<String> = Vec::new();
-    let mut speedups: Vec<(usize, f64)> = Vec::new();
-    for &n in &args.sizes {
-        let mut tps = [0.0f64; 2];
-        for (k, strategy) in [SimStrategy::Tick, SimStrategy::Event].into_iter().enumerate() {
-            match spawn_case(n, "lazy", strategy, args) {
-                Ok(row) => {
-                    println!("  {row}");
-                    tps[k] = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0);
-                    rows.push(row);
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let speedup = if tps[0] > 0.0 { tps[1] / tps[0] } else { 0.0 };
-        println!("  n={n}: event-over-tick speedup {speedup:.1}x");
-        speedups.push((n, speedup));
-    }
-
-    let identical = strategies_bit_identical(args);
-    println!(
-        "tick vs event at n=1000: {}",
-        if identical { "bit-identical" } else { "DIVERGED" }
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"stepping_strategy_scaling\",\n");
-    json.push_str(&format!(
-        "  \"topology\": \"barabasi_albert(m={EDGES_PER_NODE}, seed={GRAPH_SEED})\",\n"
-    ));
-    json.push_str("  \"backend\": \"lazy\",\n");
-    json.push_str(&format!("  \"horizon\": {},\n", args.horizon));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"initial_infected\": {},\n", args.initial));
-    json.push_str(&format!("  \"beta\": {},\n", args.beta));
-    json.push_str(&format!(
-        "  \"tick_event_bit_identical_at_1000\": {identical},\n"
-    ));
-    json.push_str("  \"speedups\": [");
-    json.push_str(
-        &speedups
-            .iter()
-            .map(|(n, x)| format!("{{\"hosts\": {n}, \"event_over_tick\": {x:.2}}}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("],\n");
-    json.push_str("  \"cases\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
+/// Writes a finished report to `out`, creating its directory; the exit
+/// code fails when the report's bit-identity verdict did.
+fn write_report(out: &std::path::Path, json: String, identical: bool) -> ExitCode {
     if let Some(dir) = out.parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -598,20 +507,14 @@ fn run_event_bench(out: &std::path::Path, args: &Args) -> ExitCode {
 /// The hierarchical worlds the routing bench sweeps: the paper-shaped
 /// subnet topology at n ≈ 10k, 100k, and 1M (`n = B + S·(H+1)`). All
 /// peel to their backbone ring, so the hier backend routes them off a
-/// tiny dense core table while lazy re-runs whole-graph BFS on every
-/// cache miss — the gap this bench exists to record.
+/// tiny core table while lazy re-runs whole-graph BFS on every cache
+/// miss — the gap this bench exists to record.
 const ROUTING_WORLDS: [(usize, usize, usize); 3] =
     [(8, 40, 250), (32, 400, 250), (64, 4000, 250)];
 
-/// Dense cutoff for the routing bench: the n ≈ 10k world's table is
-/// compact-packed (4·n² = 0.4 GB) and builds in seconds — recording
-/// that build time is part of the report — while at n ≈ 100k the
-/// wide-packed table alone is 80 GB. `--full` overrides.
-const ROUTING_DENSE_LIMIT: usize = 20_000;
-
-/// The `--routing-bench` mode: dense/lazy/hier children on hierarchical
+/// The `--routing-bench` mode: lazy and hier children on hierarchical
 /// subnet worlds, per-world hier-over-lazy speedup, plus an in-process
-/// three-way bit-identity verdict on a small subnet world.
+/// bit-identity verdict on a small subnet world.
 fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
     println!(
         "routing benchmark: subnet worlds {ROUTING_WORLDS:?}, horizon {}, seed {}, \
@@ -619,33 +522,17 @@ fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
         args.horizon, args.seed, args.initial, args.beta
     );
     let mut rows: Vec<String> = Vec::new();
-    let mut skipped: Vec<String> = Vec::new();
     let mut speedups: Vec<(usize, f64)> = Vec::new();
-    let mut dense_build_10k = f64::NAN;
     for (b, s, h) in ROUTING_WORLDS {
         let n = b + s * (h + 1);
         let mut sub = args.clone();
         sub.subnet = Some((b, s, h));
         let mut tps = [0.0f64; 2]; // lazy, hier
-        for backend in ["dense", "lazy", "hier"] {
-            if backend == "dense" && n > ROUTING_DENSE_LIMIT && !args.full {
-                let gb = 8.0 * (n as f64) * (n as f64) / 1e9;
-                skipped.push(format!("{n}/dense (table alone {gb:.0} GB; use --full)"));
-                continue;
-            }
-            match spawn_case(n, backend, args.strategy, &sub) {
+        for (k, backend) in ["lazy", "hier"].into_iter().enumerate() {
+            match spawn_case(n, backend, &sub) {
                 Ok(row) => {
                     println!("  {row}");
-                    match backend {
-                        "lazy" => tps[0] = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0),
-                        "hier" => tps[1] = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0),
-                        _ => {
-                            if n <= ROUTING_DENSE_LIMIT {
-                                dense_build_10k =
-                                    json_f64(&row, "build_secs").unwrap_or(f64::NAN);
-                            }
-                        }
-                    }
+                    tps[k] = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0);
                     rows.push(row);
                 }
                 Err(msg) => {
@@ -658,13 +545,10 @@ fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
         println!("  n={n}: hier-over-lazy speedup {speedup:.1}x");
         speedups.push((n, speedup));
     }
-    for s in &skipped {
-        println!("  skipped {s}");
-    }
 
     let identical = subnet_backends_bit_identical(args);
     println!(
-        "dense vs lazy vs hier on the n=491 subnet world: {}",
+        "lazy vs hier on the n=491 subnet world: {}",
         if identical { "bit-identical" } else { "DIVERGED" }
     );
 
@@ -687,23 +571,11 @@ fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
     json.push_str(&format!(
         "  \"backends_bit_identical_on_subnet_world\": {identical},\n"
     ));
-    json.push_str(&format!(
-        "  \"dense_build_secs_at_10k\": {dense_build_10k:.4},\n"
-    ));
     json.push_str("  \"hier_over_lazy\": [");
     json.push_str(
         &speedups
             .iter()
             .map(|(n, x)| format!("{{\"hosts\": {n}, \"speedup\": {x:.2}}}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("],\n");
-    json.push_str("  \"skipped\": [");
-    json.push_str(
-        &skipped
-            .iter()
-            .map(|s| format!("\"{s}\""))
             .collect::<Vec<_>>()
             .join(", "),
     );
@@ -716,25 +588,7 @@ fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
         ));
     }
     json.push_str("  ]\n}\n");
-
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    if identical {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    write_report(out, json, identical)
 }
 
 /// The shard bench's main world: the busy n ≈ 100k hierarchical subnet
@@ -782,8 +636,8 @@ fn shards_bit_identical(args: &Args) -> bool {
     serial.shards = Some(1);
     let mut sharded = sub;
     sharded.shards = Some(4);
-    let (_, _, _, a) = run_case(n, RoutingKind::Hier, args.strategy, &serial);
-    let (_, _, _, b) = run_case(n, RoutingKind::Hier, args.strategy, &sharded);
+    let (_, _, _, a) = run_case(n, RoutingKind::Hier, &serial);
+    let (_, _, _, b) = run_case(n, RoutingKind::Hier, &sharded);
     a == b
 }
 
@@ -807,7 +661,7 @@ fn spawn_shard_sweep(
     for k in SHARD_COUNTS {
         let mut child = sub.clone();
         child.shards = Some(k);
-        let row = spawn_case(n, "hier", args.strategy, &child)?;
+        let row = spawn_case(n, "hier", &child)?;
         println!("  {row}");
         let run_secs = json_f64(&row, "run_secs").unwrap_or(f64::NAN);
         let ever = json_f64(&row, "ever_infected_hosts").unwrap_or(f64::NAN);
@@ -903,25 +757,7 @@ fn run_shard_bench(out: &std::path::Path, args: &Args) -> ExitCode {
         ));
     }
     json.push_str("  ]\n}\n");
-
-    if let Some(dir) = out.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    if identical {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    write_report(out, json, identical)
 }
 
 /// The `--check-shard` CI guard: bit-identity unconditionally, shard
@@ -959,7 +795,7 @@ fn run_check_shard(baseline_path: &std::path::Path, args: &Args) -> ExitCode {
     for (i, k) in [1u32, 4].into_iter().enumerate() {
         let mut child = sub.clone();
         child.shards = Some(k);
-        match spawn_case(n, "hier", args.strategy, &child) {
+        match spawn_case(n, "hier", &child) {
             Ok(row) => secs[i] = json_f64(&row, "run_secs").unwrap_or(f64::NAN),
             Err(msg) => {
                 eprintln!("{msg}");
@@ -1014,7 +850,7 @@ fn main() -> ExitCode {
             eprintln!("--smoke requires --max-rss-mb");
             return ExitCode::FAILURE;
         };
-        let row = match spawn_case(n, "lazy", args.strategy, &args) {
+        let row = match spawn_case(n, "lazy", &args) {
             Ok(r) => r,
             Err(msg) => {
                 eprintln!("{msg}");
@@ -1029,11 +865,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         return ExitCode::SUCCESS;
-    }
-
-    // Stepping-strategy benchmark: lazy backend, tick vs event per size.
-    if let Some(out) = args.event_bench.clone() {
-        return run_event_bench(&out, &args);
     }
 
     // Routing-backend benchmark on hierarchical subnet worlds.
@@ -1052,164 +883,33 @@ fn main() -> ExitCode {
         return run_check_shard(&baseline_path, &args);
     }
 
-    // CI guard for the routing bench: hier n≈10k perf + three-way
-    // bit-identity on a subnet world.
+    // CI guard for the routing bench: hier n≈10k perf + bit-identity
+    // on a subnet world.
     if let Some(baseline_path) = &args.check_routing {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
         let (b, s, h) = ROUTING_WORLDS[0];
-        let n = b + s * (h + 1);
-        let Some(recorded) =
-            find_row(&text, n, "hier").and_then(|row| json_f64(row, "host_ticks_per_sec"))
-        else {
-            eprintln!(
-                "no hier n={n} row in {} — regenerate with --routing-bench",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        };
         let mut sub = args.clone();
         sub.subnet = Some((b, s, h));
-        let row = match spawn_case(n, "hier", args.strategy, &sub) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let measured = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0);
-        let pct = if recorded > 0.0 {
-            (1.0 - measured / recorded) * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "hier n={n} subnet: {measured:.0} host-ticks/s vs recorded {recorded:.0} \
-             (slowdown {pct:+.1}%, tolerance {:.1}%)",
-            args.tolerance_pct
-        );
-        if pct > args.tolerance_pct {
-            eprintln!(
-                "REGRESSION: hier n={n} slowed {pct:.1}% > {:.1}% tolerance",
-                args.tolerance_pct
-            );
+        if !throughput_holds(baseline_path, b + s * (h + 1), "hier", &sub) {
             return ExitCode::FAILURE;
         }
         if !subnet_backends_bit_identical(&args) {
-            eprintln!("REGRESSION: dense, lazy, and hier diverged on the subnet world");
+            eprintln!("REGRESSION: lazy and hier diverged on the subnet world");
             return ExitCode::FAILURE;
         }
-        println!("dense, lazy, and hier backends bit-identical on the subnet world");
+        println!("lazy and hier backends bit-identical on the subnet world");
         return ExitCode::SUCCESS;
     }
 
-    // CI guard for the strategy bench: event n=1000 perf + tick-vs-event
-    // bit-identity.
-    if let Some(baseline_path) = &args.check_event {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        // n = 10000: the n = 1000 event runs finish in single-digit
-        // milliseconds, where timer noise swamps any real regression.
-        let Some(recorded) = find_strategy_row(&text, 10_000, "lazy", SimStrategy::Event)
-            .and_then(|row| json_f64(row, "host_ticks_per_sec"))
-        else {
-            eprintln!(
-                "no event n=10000 lazy row in {} — regenerate with --event-bench",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        };
-        let row = match spawn_case(10_000, "lazy", SimStrategy::Event, &args) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let measured = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0);
-        let pct = if recorded > 0.0 {
-            (1.0 - measured / recorded) * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "event n=10000 lazy: {measured:.0} host-ticks/s vs recorded {recorded:.0} \
-             (slowdown {pct:+.1}%, tolerance {:.1}%)",
-            args.tolerance_pct
-        );
-        if pct > args.tolerance_pct {
-            eprintln!(
-                "REGRESSION: event n=10000 slowed {pct:.1}% > {:.1}% tolerance",
-                args.tolerance_pct
-            );
-            return ExitCode::FAILURE;
-        }
-        if !strategies_bit_identical(&args) {
-            eprintln!("REGRESSION: tick and event strategies diverged at n=1000");
-            return ExitCode::FAILURE;
-        }
-        println!("tick and event strategies bit-identical at n=1000");
-        return ExitCode::SUCCESS;
-    }
-
-    // CI guard: dense n=1000 perf + bit-identity.
+    // CI guard: hier n=1000 perf + bit-identity.
     if let Some(baseline_path) = &args.check {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(recorded) =
-            find_row(&text, 1_000, "dense").and_then(|row| json_f64(row, "host_ticks_per_sec"))
-        else {
-            eprintln!(
-                "no dense n=1000 row in {} — regenerate the baseline",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        };
-        let row = match spawn_case(1_000, "dense", args.strategy, &args) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let measured = json_f64(&row, "host_ticks_per_sec").unwrap_or(0.0);
-        let pct = if recorded > 0.0 {
-            (1.0 - measured / recorded) * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "dense n=1000: {measured:.0} host-ticks/s vs recorded {recorded:.0} \
-             (slowdown {pct:+.1}%, tolerance {:.1}%)",
-            args.tolerance_pct
-        );
-        if pct > args.tolerance_pct {
-            eprintln!(
-                "REGRESSION: dense n=1000 slowed {pct:.1}% > {:.1}% tolerance",
-                args.tolerance_pct
-            );
+        if !throughput_holds(baseline_path, 1_000, "hier", &args) {
             return ExitCode::FAILURE;
         }
-        if !backends_bit_identical(&args) {
+        if !backends_bit_identical(1_000, &args) {
             eprintln!("REGRESSION: routing backends diverged at n=1000");
             return ExitCode::FAILURE;
         }
-        println!("dense, lazy, and hier backends bit-identical at n=1000");
+        println!("lazy and hier backends bit-identical at n=1000");
         return ExitCode::SUCCESS;
     }
 
@@ -1221,17 +921,16 @@ fn main() -> ExitCode {
     let mut rows: Vec<String> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
     for &n in &args.sizes {
-        for backend in ["dense", "lazy", "hier"] {
+        for backend in ["lazy", "hier"] {
             // Flat power-law graphs (minimum degree 2) don't peel, so
-            // the hier backend's core table is the full dense table —
-            // same memory wall, same skip rule. Its subnet-world story
-            // lives in `--routing-bench`.
-            if (backend == "dense" || backend == "hier") && n > args.dense_limit && !args.full {
+            // the hier backend's core table is the full all-pairs
+            // table. Its subnet-world story lives in `--routing-bench`.
+            if backend == "hier" && n > args.dense_limit && !args.full {
                 let gb = 8.0 * (n as f64) * (n as f64) / 1e9;
                 skipped.push(format!("{n}/{backend} (table alone {gb:.0} GB; use --full)"));
                 continue;
             }
-            match spawn_case(n, backend, args.strategy, &args) {
+            match spawn_case(n, backend, &args) {
                 Ok(row) => {
                     println!("  {row}");
                     rows.push(row);
@@ -1247,9 +946,9 @@ fn main() -> ExitCode {
         println!("  skipped {s}");
     }
 
-    let identical = backends_bit_identical(&args);
+    let identical = backends_bit_identical(1_000, &args);
     println!(
-        "dense vs lazy vs hier at n=1000: {}",
+        "lazy vs hier at n=1000: {}",
         if identical {
             "bit-identical"
         } else {
@@ -1286,23 +985,5 @@ fn main() -> ExitCode {
         ));
     }
     json.push_str("  ]\n}\n");
-
-    if let Some(dir) = args.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&args.out, json) {
-        eprintln!("cannot write {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", args.out.display());
-    if identical {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    write_report(&args.out, json, identical)
 }

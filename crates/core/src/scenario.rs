@@ -11,7 +11,6 @@ use dynaquar_netsim::config::{
 use dynaquar_netsim::faults::FaultPlan;
 use dynaquar_netsim::metrics::PacketAccounting;
 use dynaquar_netsim::runner::run_averaged_parallel;
-use dynaquar_netsim::strategy::SimStrategy;
 use dynaquar_netsim::ShardSpec;
 use dynaquar_netsim::World;
 use dynaquar_parallel::ParallelConfig;
@@ -50,11 +49,10 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// Materializes the world with automatic routing-backend selection
-    /// ([`RoutingKind::Auto`]: dense all-pairs table for paper-scale
-    /// graphs; above 4096 nodes the two-level hierarchical backend when
-    /// degree-1 peeling leaves a dense-sized core — subnet worlds
-    /// collapse to their backbone — or memory-bounded lazy BFS
-    /// otherwise).
+    /// ([`RoutingKind::Auto`]: the two-level hierarchical table when
+    /// degree-1 peeling leaves a core of at most 4096 nodes — every
+    /// paper-scale graph, and subnet worlds of any size, which collapse
+    /// to their backbone — or memory-bounded lazy BFS otherwise).
     ///
     /// # Panics
     ///
@@ -133,7 +131,6 @@ pub struct Scenario {
     pub(crate) seed: u64,
     pub(crate) parallelism: Option<usize>,
     pub(crate) routing: RoutingKind,
-    pub(crate) strategy: SimStrategy,
     pub(crate) shards: ShardSpec,
     pub(crate) checkpoint: Option<CheckpointPolicy>,
 }
@@ -157,7 +154,6 @@ impl Scenario {
             seed: 0,
             parallelism: None,
             routing: RoutingKind::Auto,
-            strategy: SimStrategy::Auto,
             shards: ShardSpec::Auto,
             checkpoint: None,
         }
@@ -244,25 +240,13 @@ impl Scenario {
 
     /// Picks the routing backend for worlds this scenario builds itself
     /// (`run_simulated`, `analytic_baseline`). The default
-    /// [`RoutingKind::Auto`] keeps paper-scale topologies on the dense
-    /// all-pairs table and switches large worlds to the two-level
-    /// hierarchical backend (when degree-1 peeling leaves a dense-sized
-    /// core) or the memory-bounded lazy backend; all backends produce
-    /// bit-identical next hops, so this knob trades memory for
-    /// routing-cache work without changing any curve.
+    /// [`RoutingKind::Auto`] builds the two-level hierarchical table
+    /// whenever degree-1 peeling leaves a small enough core (every
+    /// paper-scale topology) and the memory-bounded lazy backend
+    /// otherwise; both produce bit-identical next hops, so this knob
+    /// trades memory for routing-cache work without changing any curve.
     pub fn routing(mut self, routing: RoutingKind) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Picks the engine stepping strategy for every run of the
-    /// scenario. The default [`SimStrategy::Auto`] keeps paper-scale
-    /// worlds on the tick engine and switches large worlds to the
-    /// event-driven engine (same size threshold as
-    /// [`RoutingKind::Auto`]); the two are bit-identical, so like
-    /// [`Scenario::routing`] this knob never changes a curve.
-    pub fn strategy(mut self, strategy: SimStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -270,9 +254,8 @@ impl Scenario {
     /// The default [`ShardSpec::Auto`] follows `DYNAQUAR_SHARDS`, then
     /// stays serial. Sharding splits each phase sweep of a single world
     /// across cores with a deterministic ascending-host-id merge, so
-    /// like [`Scenario::routing`] and [`Scenario::strategy`] this knob
-    /// is a pure performance choice: any shard count traces
-    /// bit-identical curves.
+    /// like [`Scenario::routing`] this knob is a pure performance
+    /// choice: any shard count traces bit-identical curves.
     pub fn shards(mut self, shards: ShardSpec) -> Self {
         self.shards = shards;
         self
@@ -379,7 +362,6 @@ impl Scenario {
             .beta(self.beta)
             .horizon(self.horizon)
             .initial_infected(self.initial_infected)
-            .strategy(self.strategy)
             .shards(self.shards)
             .plan(plan);
         if let Some(imm) = self.immunization {
@@ -553,7 +535,6 @@ mod tests {
         })
         .horizon(60)
         .runs(2);
-        let dense = base.clone().routing(RoutingKind::Dense).run_simulated();
         let lazy = base
             .clone()
             .routing(RoutingKind::Lazy {
@@ -562,17 +543,15 @@ mod tests {
             .run_simulated();
         let hier = base.clone().routing(RoutingKind::Hier).run_simulated();
         let auto = base.run_simulated();
-        assert_eq!(dense, lazy);
-        assert_eq!(dense, hier);
-        assert_eq!(dense, auto);
+        assert_eq!(hier, lazy);
+        assert_eq!(hier, auto);
     }
 
     #[test]
     fn routing_backend_does_not_change_the_outcome_on_subnet_worlds() {
         // The hier backend's home turf: host stars and edge routers
-        // peel, the backbone ring is the core. All three backends (and
-        // Auto, which picks hier here once the world outgrows the dense
-        // threshold) must trace the same curves.
+        // peel, the backbone ring is the core. Both backends must trace
+        // the same curves.
         let base = Scenario::new(TopologySpec::Subnets {
             backbone: 3,
             subnets: 8,
@@ -580,7 +559,6 @@ mod tests {
         })
         .horizon(60)
         .runs(2);
-        let dense = base.clone().routing(RoutingKind::Dense).run_simulated();
         let lazy = base
             .clone()
             .routing(RoutingKind::Lazy {
@@ -588,27 +566,7 @@ mod tests {
             })
             .run_simulated();
         let hier = base.clone().routing(RoutingKind::Hier).run_simulated();
-        assert_eq!(dense, lazy);
-        assert_eq!(dense, hier);
-    }
-
-    #[test]
-    fn stepping_strategy_does_not_change_the_outcome() {
-        // The engine-strategy analogue of the routing test above: tick
-        // and event stepping are bit-identical on a scenario exercising
-        // throttling filters and fault injection.
-        let base = Scenario::new(TopologySpec::PowerLaw {
-            nodes: 150,
-            edges_per_node: 2,
-            seed: 11,
-        })
-        .horizon(60)
-        .deployment(Deployment::Hosts { fraction: 1.0 })
-        .faults(FaultPlan::none().with_link_loss(0.2, 0.1))
-        .runs(2);
-        let tick = base.clone().strategy(SimStrategy::Tick).run_simulated();
-        let event = base.clone().strategy(SimStrategy::Event).run_simulated();
-        assert_eq!(tick, event);
+        assert_eq!(hier, lazy);
     }
 
     #[test]

@@ -38,7 +38,6 @@
 use crate::scenario::{Scenario, TopologySpec};
 use crate::strategy::{Deployment, RateLimitParams};
 use dynaquar_netsim::config::{ImmunizationConfig, ImmunizationTrigger, QuarantineConfig};
-use dynaquar_netsim::strategy::SimStrategy;
 use dynaquar_netsim::{ShardSpec, WormBehavior};
 use dynaquar_topology::lazy::RoutingKind;
 use dynaquar_worms::profiles::SelectorKind;
@@ -1395,12 +1394,11 @@ fn routing_from(v: &Value) -> Result<RoutingKind, SpecError> {
     match v {
         Value::Str(s) => match s.as_str() {
             "auto" => Ok(RoutingKind::Auto),
-            "dense" => Ok(RoutingKind::Dense),
             "hier" => Ok(RoutingKind::Hier),
             other => Err(SpecError::InvalidValue {
                 field: "routing".to_string(),
                 reason: format!(
-                    "unknown routing {other:?} (expected auto, dense, hier, or {{ lazy = N }})"
+                    "unknown routing {other:?} (expected auto, hier, or {{ lazy = N }})"
                 ),
             }),
         },
@@ -1416,18 +1414,6 @@ fn routing_from(v: &Value) -> Result<RoutingKind, SpecError> {
         _ => Err(SpecError::WrongType {
             field: "routing".to_string(),
             expected: "a string or a table",
-        }),
-    }
-}
-
-fn strategy_from(v: &Value) -> Result<SimStrategy, SpecError> {
-    match as_str(v, "strategy")? {
-        "auto" => Ok(SimStrategy::Auto),
-        "tick" => Ok(SimStrategy::Tick),
-        "event" => Ok(SimStrategy::Event),
-        other => Err(SpecError::InvalidValue {
-            field: "strategy".to_string(),
-            reason: format!("unknown strategy {other:?} (expected auto, tick, or event)"),
         }),
     }
 }
@@ -1477,7 +1463,6 @@ pub fn scenario_from_value(root: &Value) -> Result<Scenario, SpecError> {
             "seed",
             "parallelism",
             "routing",
-            "strategy",
             "shards",
             "checkpoint",
         ],
@@ -1526,9 +1511,6 @@ pub fn scenario_from_value(root: &Value) -> Result<Scenario, SpecError> {
     }
     if let Some(v) = get(entries, "routing") {
         scenario = scenario.routing(routing_from(v)?);
-    }
-    if let Some(v) = get(entries, "strategy") {
-        scenario = scenario.strategy(strategy_from(v)?);
     }
     if let Some(v) = get(entries, "shards") {
         scenario = scenario.shards(shards_from(v)?);
@@ -1697,7 +1679,6 @@ fn params_to_value(p: &RateLimitParams) -> Result<Value, SpecError> {
 fn routing_to_value(r: &RoutingKind) -> Result<Value, SpecError> {
     Ok(match r {
         RoutingKind::Auto => Value::Str("auto".to_string()),
-        RoutingKind::Dense => Value::Str("dense".to_string()),
         RoutingKind::Hier => Value::Str("hier".to_string()),
         RoutingKind::Lazy {
             max_cached_destinations,
@@ -1761,17 +1742,6 @@ pub fn scenario_to_value(s: &Scenario) -> Result<Value, SpecError> {
         entries.push(("parallelism".to_string(), int_from_usize(threads, "parallelism")?));
     }
     entries.push(("routing".to_string(), routing_to_value(&s.routing)?));
-    entries.push((
-        "strategy".to_string(),
-        Value::Str(
-            match s.strategy {
-                SimStrategy::Auto => "auto",
-                SimStrategy::Tick => "tick",
-                SimStrategy::Event => "event",
-            }
-            .to_string(),
-        ),
-    ));
     entries.push((
         "shards".to_string(),
         match s.shards {
@@ -1838,10 +1808,9 @@ pub struct Preset {
 /// asserts identity, and the daemon serves them under the `preset`
 /// verb. Together they exercise every leaf of the schema: all three
 /// topologies, all selector kinds, all deployments, delaying filters,
-/// quarantine, immunization triggers, routing/strategy/shard overrides,
+/// quarantine, immunization triggers, routing/shard overrides,
 /// and checkpoint policies.
 pub fn presets() -> Vec<Preset> {
-    use dynaquar_netsim::strategy::SimStrategy as Strategy;
     let star = TopologySpec::Star { leaves: 199 };
     let power_law = TopologySpec::PowerLaw {
         nodes: 1000,
@@ -1891,8 +1860,7 @@ pub fn presets() -> Vec<Preset> {
             Scenario::new(power_law)
                 .initial_infected(3)
                 .horizon(200)
-                .deployment(Deployment::Hosts { fraction: 1.0 })
-                .routing(RoutingKind::Dense),
+                .deployment(Deployment::Hosts { fraction: 1.0 }),
         ),
         preset(
             "fig5",
@@ -1906,8 +1874,7 @@ pub fn presets() -> Vec<Preset> {
             Scenario::new(power_law)
                 .behavior(WormBehavior::local_preferential(0.9))
                 .deployment(Deployment::Backbone)
-                .horizon(200)
-                .strategy(Strategy::Tick),
+                .horizon(200),
         ),
         preset(
             "fig7a",
@@ -1935,8 +1902,7 @@ pub fn presets() -> Vec<Preset> {
                     trigger: ImmunizationTrigger::AtInfectedFraction(0.2),
                     mu: 0.05,
                 })
-                .horizon(120)
-                .strategy(Strategy::Event),
+                .horizon(120),
         ),
         preset(
             "fig8b",

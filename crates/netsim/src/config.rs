@@ -6,7 +6,6 @@ use crate::error::Error;
 use crate::faults::FaultPlan;
 use crate::plan::RateLimitPlan;
 use crate::shard::ShardSpec;
-use crate::strategy::SimStrategy;
 use dynaquar_worms::profiles::SelectorKind;
 use dynaquar_worms::scanner::{LocalPreferential, Permutation, Sequential, TargetSelector, UniformRandom};
 use serde::{Deserialize, Serialize};
@@ -182,15 +181,10 @@ pub struct SimConfig {
     pub(crate) quarantine: Option<QuarantineConfig>,
     pub(crate) background: Option<BackgroundTraffic>,
     pub(crate) log_scans: bool,
-    /// Stepping strategy ([`SimStrategy::Auto`] resolves against the
-    /// world size at simulator construction).
-    #[serde(default)]
-    pub(crate) strategy: SimStrategy,
     /// Intra-run shard count ([`ShardSpec::Auto`] resolves against
     /// [`crate::shard::SHARDS_ENV`] at simulator construction). A pure
     /// performance knob: results are bit-identical for any shard count,
-    /// so — like `strategy` — it is excluded from the snapshot config
-    /// fingerprint.
+    /// so it is excluded from the snapshot config fingerprint.
     #[serde(default)]
     pub(crate) shards: ShardSpec,
     #[serde(skip)]
@@ -242,19 +236,6 @@ impl SimConfig {
         self.log_scans
     }
 
-    /// The configured stepping strategy (possibly still
-    /// [`SimStrategy::Auto`]).
-    pub fn strategy(&self) -> SimStrategy {
-        self.strategy
-    }
-
-    /// Returns this configuration with `strategy` swapped in — handy
-    /// for differential tests that run one scenario under both engines.
-    pub fn with_strategy(mut self, strategy: SimStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// The configured intra-run shard count (possibly still
     /// [`ShardSpec::Auto`]).
     pub fn shards(&self) -> ShardSpec {
@@ -302,7 +283,6 @@ pub struct SimConfigBuilder {
     quarantine: Option<QuarantineConfig>,
     background: Option<BackgroundTraffic>,
     log_scans: bool,
-    strategy: SimStrategy,
     shards: ShardSpec,
     plan: RateLimitPlan,
     faults: FaultPlan,
@@ -319,7 +299,6 @@ impl Default for SimConfigBuilder {
             quarantine: None,
             background: None,
             log_scans: false,
-            strategy: SimStrategy::Auto,
             shards: ShardSpec::Auto,
             plan: RateLimitPlan::none(),
             faults: FaultPlan::none(),
@@ -407,15 +386,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Picks the stepping strategy (default [`SimStrategy::Auto`]:
-    /// tick-driven up to the routing size threshold, event-driven
-    /// above — see `netsim::strategy`). Both strategies are
-    /// bit-identical, so this is purely a performance knob.
-    pub fn strategy(&mut self, strategy: SimStrategy) -> &mut Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Picks the intra-run shard count (default [`ShardSpec::Auto`]:
     /// the `DYNAQUAR_SHARDS` override, else 1). Sharded sweeps are
     /// bit-identical to the serial path for any count, so this is
@@ -496,7 +466,6 @@ impl SimConfigBuilder {
             quarantine: self.quarantine,
             background: self.background,
             log_scans: self.log_scans,
-            strategy: self.strategy,
             shards: self.shards,
             plan: self.plan.clone(),
             faults: self.faults.clone(),

@@ -9,17 +9,12 @@
 //! | Variable | Values | Consulted by |
 //! |---|---|---|
 //! | [`THREADS_ENV`] (`DYNAQUAR_THREADS`) | positive integer | `ParallelConfig::from_env` — ensemble worker-pool size (seed-level parallelism) |
-//! | [`STRATEGY_ENV`] (`DYNAQUAR_STRATEGY`) | `tick` \| `event` \| `auto` | `SimStrategy::Auto` resolution at simulator construction |
-//! | [`ROUTING_ENV`] (`DYNAQUAR_ROUTING`) | `dense` \| `lazy` \| `hier` \| `auto` | `RoutingKind::Auto` resolution at world construction |
 //! | [`SHARDS_ENV`] (`DYNAQUAR_SHARDS`) | positive integer \| `auto` | `ShardSpec::Auto` resolution at simulator construction (intra-run sharding) |
 //!
-//! All four are *pure performance knobs*: the engine's determinism
-//! contract guarantees bit-identical results for any thread count,
-//! stepping strategy, routing backend, and shard count, which is why CI
-//! can re-run the whole suite — fingerprints included — under every
-//! combination.
+//! Both are *pure performance knobs*: the engine's determinism contract
+//! guarantees bit-identical results for any thread count and shard
+//! count, which is why CI can re-run the whole suite — fingerprints
+//! included — under each combination.
 
 pub use crate::shard::SHARDS_ENV;
-pub use crate::strategy::STRATEGY_ENV;
 pub use dynaquar_parallel::{env_override, EnvParse, THREADS_ENV};
-pub use dynaquar_topology::lazy::ROUTING_ENV;

@@ -61,7 +61,6 @@ pub mod shard;
 pub mod sim;
 pub mod snapshot;
 mod soa;
-pub mod strategy;
 mod streams;
 pub mod world;
 
@@ -75,7 +74,6 @@ pub use metrics::{
 pub use plan::RateLimitPlan;
 pub use runner::{ParallelConfig, RunOutcome, RunTiming, RunnerError, SupervisorConfig, WorkerStats};
 pub use shard::ShardSpec;
-pub use sim::{SimResult, Simulator};
+pub use sim::{SimResult, SimStrategy, Simulator};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use strategy::SimStrategy;
 pub use world::World;

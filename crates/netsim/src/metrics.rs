@@ -17,7 +17,7 @@
 //!    The engine `debug_assert!`s this identity at the end of every run,
 //!    and `tests/packet_conservation.rs` property-tests it across fault
 //!    plans, caps, and quarantine scenarios.
-//! 2. **[`PhaseProfile`]** — wall-clock timers around the tick engine's
+//! 2. **[`PhaseProfile`]** — wall-clock timers around the engine's
 //!    five phases (`apply_faults`, `generate_scans`,
 //!    `release_delayed_scans`, `generate_background`,
 //!    `forward_packets`), exposed on
@@ -235,7 +235,7 @@ impl PacketAccounting {
     }
 }
 
-/// One phase of the tick engine's loop, in execution order.
+/// One phase of the engine's per-tick loop, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Phase {
     /// Injected-fault transitions (outages, false positives, jittered

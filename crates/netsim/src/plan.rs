@@ -340,7 +340,7 @@ impl RateLimitPlan {
 mod tests {
     use super::*;
     use dynaquar_topology::generators;
-    use dynaquar_topology::routing::RoutingTable;
+    use dynaquar_topology::HierRouting;
 
     #[test]
     fn none_plan_is_empty() {
@@ -395,7 +395,7 @@ mod tests {
             .hosts_per_subnet(6)
             .build()
             .unwrap();
-        let rt = RoutingTable::shortest_paths(&t.graph);
+        let rt = HierRouting::new(&t.graph);
         let mut p = RateLimitPlan::none();
         // Limit everything at the backbone routers.
         p.weighted_link_caps(&t.graph, &rt, &[0.into(), 1.into()], 10.0);
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn weighted_caps_with_no_nodes_is_noop() {
         let g = generators::ring(5).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let mut p = RateLimitPlan::none();
         p.weighted_link_caps(&g, &rt, &[], 10.0);
         assert_eq!(p.limited_link_count(), 0);

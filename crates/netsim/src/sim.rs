@@ -20,6 +20,20 @@
 //!    remaining packets").
 //! 4. **Delivery**: a worm packet reaching a susceptible host infects
 //!    it; a background packet updates the collateral statistics.
+//!
+//! # Event-driven enumeration
+//!
+//! No phase sweeps every host. Each asks the engine's activity indexes
+//! instead — the sorted infected set, the hosts with pending throttled
+//! scans, the jitter-delayed quarantines, the self-patch timer wheel,
+//! the unpatched-host index — so a tick costs `O(active + in-flight)`
+//! rather than `O(hosts)`. Every index is sorted by node id, so each
+//! phase visits its candidates in ascending host order, and every
+//! per-host draw comes from that host's own stream or a stateless hash
+//! of `(seed, tick, host)` (see `netsim::streams`): which hosts are
+//! skipped, and which shard visits which host, cannot perturb any draw.
+//! The engine fingerprints (`tests/engine_fingerprints.rs`) pin the
+//! results.
 
 use crate::background::BackgroundStats;
 use crate::config::{CheckpointPolicy, ImmunizationTrigger, SimConfig, WormBehavior};
@@ -32,7 +46,6 @@ use crate::snapshot::{config_fingerprint, world_fingerprint, Snapshot, SnapshotE
 use crate::soa::{idx32, HostStates, Packet, PacketPool};
 #[cfg(debug_assertions)]
 use crate::soa::NodeState;
-use crate::strategy::SimStrategy;
 use crate::streams::{host_stream_seed, immunization_u01};
 use crate::world::World;
 use dynaquar_epidemic::TimeSeries;
@@ -125,6 +138,16 @@ impl PartialEq for SimResult {
     }
 }
 
+/// How the engine steps a run: event-driven enumeration of the activity
+/// indexes (see the module docs). It is the only engine;
+/// [`Simulator::resolved_strategy`] reports it so a run's report can
+/// say what ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimStrategy {
+    /// Enumerate candidates from the sorted activity indexes.
+    Event,
+}
+
 /// One seeded simulation run over a shared [`World`].
 pub struct Simulator<'w> {
     world: &'w World,
@@ -190,28 +213,25 @@ pub struct Simulator<'w> {
     delay_queues: Vec<VecDeque<(u64, NodeId)>>,
     quarantined: u64,
     scan_log: Vec<(u64, NodeId, NodeId)>,
-    /// The stepping strategy, already resolved against the world size
-    /// (never [`SimStrategy::Auto`] after construction).
-    strategy: SimStrategy,
     /// Shard partition cut points over node-id space
     /// (`shard_cuts.len() - 1` shards; `[0, n]` when serial) — see
-    /// [`crate::shard::shard_cuts`]. Like the strategy, a pure
-    /// performance knob: results are bit-identical for any shard count.
+    /// [`crate::shard::shard_cuts`]. A pure performance knob: results
+    /// are bit-identical for any shard count.
     shard_cuts: Vec<u32>,
     /// Hosts with a non-empty throttle queue, sorted ascending — the
-    /// event path's release/clear candidates. Maintained by every queue
-    /// mutation (push, drain, clear) on both strategies.
+    /// release/clear candidates. Maintained by every queue mutation
+    /// (push, drain, clear).
     queue_hosts: BTreeSet<u32>,
     /// Hosts with a jitter-delayed quarantine scheduled, sorted
-    /// ascending — the event path's pending-activation candidates.
+    /// ascending — the pending-activation candidates.
     pending_hosts: BTreeSet<u32>,
     /// Self-patch timer wheel: `(due_tick, host)` appended at infection
     /// time, so due ticks are nondecreasing and the front of the deque
     /// is always the next timer to fire. Each due batch is sorted by
-    /// host before firing to match the tick sweep's ascending order.
+    /// host before firing, so timers fire in ascending host order.
     patch_due: VecDeque<(u64, u32)>,
     /// Edge indexes that carry a token cap, ascending (token refill is
-    /// O(capped), not O(edges), on both strategies).
+    /// O(capped), not O(edges)).
     capped_links: Vec<u32>,
     /// Node indexes that carry a transit cap, ascending.
     capped_nodes: Vec<u32>,
@@ -384,7 +404,6 @@ impl<'w> Simulator<'w> {
             delay_queues: vec![VecDeque::new(); n],
             quarantined: 0,
             scan_log: Vec::new(),
-            strategy: config.strategy().resolve(n),
             shard_cuts: crate::shard::shard_cuts(world, config.shards().resolve()),
             queue_hosts: BTreeSet::new(),
             pending_hosts: BTreeSet::new(),
@@ -409,10 +428,9 @@ impl<'w> Simulator<'w> {
         self.tick
     }
 
-    /// The stepping strategy this run uses, resolved against the world
-    /// size (never [`SimStrategy::Auto`]).
+    /// The stepping strategy this run uses (always event-driven).
     pub fn resolved_strategy(&self) -> SimStrategy {
-        self.strategy
+        SimStrategy::Event
     }
 
     fn host_count(&self) -> usize {
@@ -445,9 +463,9 @@ impl<'w> Simulator<'w> {
                 self.host_state.immunized(),
                 self.count_state(NodeState::Immunized)
             );
-            // The activity indexes the event path enumerates from must
-            // mirror the dense state exactly — this is the per-tick
-            // proof obligation behind tick/event bit-identity.
+            // The activity indexes the phases enumerate from must
+            // mirror the dense state exactly — the per-tick proof
+            // obligation behind skipping inactive hosts.
             self.host_state.debug_assert_active_index();
             // Every active host carries both a selector and its own
             // scan stream (the sharded sweep unwraps both).
@@ -571,23 +589,16 @@ impl<'w> Simulator<'w> {
                 observer.on_fault(tick, FaultEvent::FalseQuarantine(host));
             }
         }
-        // Jitter-delayed quarantine activations that have come due. The
-        // tick path sweeps every host; the event path asks the pending
-        // index — both visit due hosts in ascending order.
+        // Jitter-delayed quarantine activations that have come due, in
+        // ascending host order from the pending index.
         if self.faults.quarantine_jitter > 0 {
-            if self.strategy == SimStrategy::Event {
-                let mut pending = std::mem::take(&mut self.scratch_hosts);
-                pending.clear();
-                pending.extend(self.pending_hosts.iter().copied());
-                for &i in &pending {
-                    self.fire_pending_quarantine(i as usize, tick, observer);
-                }
-                self.scratch_hosts = pending;
-            } else {
-                for i in 0..self.pending_quarantine.len() {
-                    self.fire_pending_quarantine(i, tick, observer);
-                }
+            let mut pending = std::mem::take(&mut self.scratch_hosts);
+            pending.clear();
+            pending.extend(self.pending_hosts.iter().copied());
+            for &i in &pending {
+                self.fire_pending_quarantine(i as usize, tick, observer);
             }
+            self.scratch_hosts = pending;
         }
     }
 
@@ -616,33 +627,25 @@ impl<'w> Simulator<'w> {
         let Some(delay) = self.behavior.self_patch_after else {
             return;
         };
-        if self.strategy == SimStrategy::Event {
-            // Timers were enqueued at infection time with nondecreasing
-            // due ticks, so everything due sits at the front. Sorting
-            // the due batch by host reproduces the tick sweep's
-            // ascending order; the infected guard in `try_self_patch`
-            // discards timers whose host was quarantined or immunized
-            // in the meantime.
-            let mut due = std::mem::take(&mut self.scratch_hosts);
-            due.clear();
-            while let Some(&(d, h)) = self.patch_due.front() {
-                if d > tick {
-                    break;
-                }
-                self.patch_due.pop_front();
-                due.push(h);
+        // Timers were enqueued at infection time with nondecreasing due
+        // ticks, so everything due sits at the front. The due batch
+        // fires in ascending host order; the infected guard in
+        // `try_self_patch` discards timers whose host was quarantined
+        // or immunized in the meantime.
+        let mut due = std::mem::take(&mut self.scratch_hosts);
+        due.clear();
+        while let Some(&(d, h)) = self.patch_due.front() {
+            if d > tick {
+                break;
             }
-            due.sort_unstable();
-            for &h in &due {
-                self.try_self_patch(h as usize, tick, delay, observer);
-            }
-            self.scratch_hosts = due;
-        } else {
-            for k in 0..self.world.hosts().len() {
-                let h = self.world.hosts()[k];
-                self.try_self_patch(h.index(), tick, delay, observer);
-            }
+            self.patch_due.pop_front();
+            due.push(h);
         }
+        due.sort_unstable();
+        for &h in &due {
+            self.try_self_patch(h as usize, tick, delay, observer);
+        }
+        self.scratch_hosts = due;
     }
 
     /// Patches `i` if it still runs a worm instance old enough to fire.
@@ -819,46 +822,28 @@ impl<'w> Simulator<'w> {
     }
 
     /// Collects this tick's `(scanner, target)` emissions in ascending
-    /// scanner id order. Three equivalent paths — the event path
-    /// (sorted active index), the tick path (dense host sweep), and the
-    /// sharded path (per-range sweeps merged in range order) — visit
-    /// the same scanners in the same order, and every per-host draw
-    /// comes from that host's own stream, so all three are
-    /// bit-identical.
+    /// scanner id order. The serial path (sorted active index) and the
+    /// sharded path (per-range sweeps merged in range order) visit the
+    /// same scanners in the same order, and every per-host draw comes
+    /// from that host's own stream, so the two are bit-identical.
     fn collect_scan_emissions(&mut self) -> Vec<(NodeId, NodeId)> {
         let shards = self.shard_cuts.len() - 1;
         if shards > 1 && self.host_state.infected() >= SHARD_MIN_SCANNERS {
             return self.collect_scan_emissions_sharded();
         }
         let mut emissions: Vec<(NodeId, NodeId)> = Vec::new();
-        if self.strategy == SimStrategy::Event {
-            // Event path: enumerate the sorted active index instead of
-            // sweeping every host.
-            let mut active = std::mem::take(&mut self.scratch_hosts);
-            active.clear();
-            active.extend(self.host_state.active_hosts());
-            for &i in &active {
-                let node = NodeId::from(i as usize);
-                // A host on a downed node cannot scan during the outage.
-                if self.node_down[node.index()] {
-                    continue;
-                }
-                self.scan_from(node, &mut emissions);
+        let mut active = std::mem::take(&mut self.scratch_hosts);
+        active.clear();
+        active.extend(self.host_state.active_hosts());
+        for &i in &active {
+            let node = NodeId::from(i as usize);
+            // A host on a downed node cannot scan during the outage.
+            if self.node_down[node.index()] {
+                continue;
             }
-            self.scratch_hosts = active;
-        } else {
-            for k in 0..self.world.hosts().len() {
-                let node = self.world.hosts()[k];
-                if !self.host_state.is_infected(node.index()) {
-                    continue;
-                }
-                // A host on a downed node cannot scan during the outage.
-                if self.node_down[node.index()] {
-                    continue;
-                }
-                self.scan_from(node, &mut emissions);
-            }
+            self.scan_from(node, &mut emissions);
         }
+        self.scratch_hosts = active;
         emissions
     }
 
@@ -943,8 +928,8 @@ impl<'w> Simulator<'w> {
     }
 
     /// Draws `scans_per_tick` targets for one infected scanner and
-    /// appends its post-β emissions (shared by both serial strategies —
-    /// every draw comes from the scanner's own stream).
+    /// appends its post-β emissions (every draw comes from the
+    /// scanner's own stream).
     fn scan_from(&mut self, node: NodeId, emissions: &mut Vec<(NodeId, NodeId)>) {
         let ctx = ScanContext {
             scanner: node,
@@ -972,28 +957,18 @@ impl<'w> Simulator<'w> {
     /// throttle process died with the worm instance; its queue is
     /// dropped and counted as `cleared`).
     fn release_delayed_scans(&mut self, tick: u64, observer: &mut dyn SimObserver) {
-        if self.strategy == SimStrategy::Event {
-            // Snapshot the queue index before draining: releasing or
-            // clearing edits it. The set is sorted, so hosts are
-            // visited in the tick sweep's ascending order — including
-            // hosts whose queue outlived its worm instance (patched or
-            // swept this tick), which get cleared *this* tick exactly
-            // as the dense sweep would.
-            let mut hosts = std::mem::take(&mut self.scratch_hosts);
-            hosts.clear();
-            hosts.extend(self.queue_hosts.iter().copied());
-            for &i in &hosts {
-                self.release_for_host(i as usize, tick, observer);
-            }
-            self.scratch_hosts = hosts;
-        } else {
-            for i in 0..self.delay_queues.len() {
-                if self.delay_queues[i].is_empty() {
-                    continue;
-                }
-                self.release_for_host(i, tick, observer);
-            }
+        // Snapshot the queue index before draining: releasing or
+        // clearing edits it. The set is sorted, so hosts are visited in
+        // ascending order — including hosts whose queue outlived its
+        // worm instance (patched or swept this tick), which get cleared
+        // *this* tick.
+        let mut hosts = std::mem::take(&mut self.scratch_hosts);
+        hosts.clear();
+        hosts.extend(self.queue_hosts.iter().copied());
+        for &i in &hosts {
+            self.release_for_host(i as usize, tick, observer);
         }
+        self.scratch_hosts = hosts;
     }
 
     /// Drains one host's due releases (or clears the whole queue if the
@@ -1506,7 +1481,6 @@ impl<'w> Simulator<'w> {
             seed: self.seed,
             tick: self.tick,
             horizon: self.config.horizon(),
-            strategy: self.strategy,
             world_fingerprint: world_fingerprint(self.world),
             config_fingerprint: config_fingerprint(&self.config, &self.behavior),
             nodes: self.world.graph().node_count() as u64,
@@ -1552,9 +1526,8 @@ impl<'w> Simulator<'w> {
     ///
     /// Continuing with [`Simulator::run_until`] /
     /// [`Simulator::run_observed`] from here is bit-identical to the
-    /// uninterrupted run — under either stepping strategy and routing
-    /// backend (the strategy is deliberately outside the config
-    /// fingerprint).
+    /// uninterrupted run — under either routing backend and any shard
+    /// count (both deliberately outside the config fingerprint).
     ///
     /// # Errors
     ///
@@ -2426,5 +2399,7 @@ mod tests {
         let s = Simulator::new(&w, &base_config(10), WormBehavior::random(), 0);
         assert!(!format!("{s:?}").is_empty());
         assert!(s.host_filter(NodeId::new(1)).is_none());
+        // Run reports label the engine by this rendering.
+        assert_eq!(format!("{:?}", s.resolved_strategy()), "Event");
     }
 }

@@ -9,20 +9,22 @@
 //! robustness contract is **bit-identity**: run to tick `T`, snapshot,
 //! resume, and the final [`SimResult`] *and* the concatenated observer
 //! JSONL are byte-identical to the uninterrupted run — under both
-//! stepping strategies, both routing backends, any thread count, and
-//! any shard count (see `crates/netsim/tests/snapshot_equivalence.rs`).
+//! routing backends, any thread count, and any shard count (see
+//! `crates/netsim/tests/snapshot_equivalence.rs`).
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
 //! ```text
 //! magic    8 bytes   b"DQSNAPv1"
-//! version  u32 LE    2
+//! version  u32 LE    3
 //! sections repeated  [u32 id][u64 len][payload][u64 FNV-1a-64(payload)]
 //! ```
 //!
 //! (The magic names the file family; the version word is what gates
 //! compatibility. Version 2 added the per-host scan stream section when
-//! per-host streams replaced the shared scan RNG.)
+//! per-host streams replaced the shared scan RNG; version 3 dropped the
+//! header's stepping-strategy byte when event-driven stepping became
+//! the only engine.)
 //!
 //! All integers are little-endian; `f64` values travel as raw bit
 //! patterns ([`f64::to_bits`]) so restores are exact. Every section is
@@ -52,7 +54,6 @@ use crate::background::BackgroundStats;
 use crate::config::{SimConfig, WormBehavior};
 use crate::metrics::{KindCounts, PacketAccounting, PacketKind};
 use crate::soa::Packet;
-use crate::strategy::SimStrategy;
 use crate::world::World;
 use dynaquar_topology::NodeId;
 use std::fmt;
@@ -65,7 +66,7 @@ pub const MAGIC: [u8; 8] = *b"DQSNAPv1";
 /// Current snapshot format version. Bump this (and re-pin the fixture
 /// hash in `crates/netsim/tests/snapshot_equivalence.rs`) whenever the
 /// byte layout of any section changes — CI guards the pairing.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const SEC_HEADER: u32 = 1;
 const SEC_RNG: u32 = 2;
@@ -222,9 +223,9 @@ pub(crate) fn world_fingerprint(world: &World) -> u64 {
 
 /// Fingerprint of the simulated semantics of `(config, behavior)`.
 ///
-/// Deliberately excludes the stepping strategy and the shard count
-/// (both are pure performance knobs with bit-identical results, so
-/// resuming under a different one is legitimate) and the checkpoint
+/// Deliberately excludes the shard count (a pure performance knob with
+/// bit-identical results, so resuming under a different one is
+/// legitimate) and the checkpoint
 /// policy (where checkpoints land does not change what is simulated).
 /// `Debug` renderings are stable for the plain data these types hold.
 pub(crate) fn config_fingerprint(config: &SimConfig, behavior: &WormBehavior) -> u64 {
@@ -257,9 +258,6 @@ pub struct Snapshot {
     pub(crate) seed: u64,
     pub(crate) tick: u64,
     pub(crate) horizon: u64,
-    /// The resolved strategy the snapshotting run used (informational:
-    /// resuming under the other strategy is bit-identical and allowed).
-    pub(crate) strategy: SimStrategy,
     pub(crate) world_fingerprint: u64,
     pub(crate) config_fingerprint: u64,
     pub(crate) nodes: u64,
@@ -319,11 +317,6 @@ impl Snapshot {
         self.horizon
     }
 
-    /// The resolved stepping strategy the snapshotting run used.
-    pub fn strategy(&self) -> SimStrategy {
-        self.strategy
-    }
-
     /// Serializes the snapshot into the versioned section format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -336,7 +329,6 @@ impl Snapshot {
         put_u64(&mut sec, self.seed);
         put_u64(&mut sec, self.tick);
         put_u64(&mut sec, self.horizon);
-        sec.push(strategy_code(self.strategy));
         put_u64(&mut sec, self.world_fingerprint);
         put_u64(&mut sec, self.config_fingerprint);
         put_u64(&mut sec, self.nodes);
@@ -556,7 +548,6 @@ impl Snapshot {
         let seed = r.u64()?;
         let tick = r.u64()?;
         let horizon = r.u64()?;
-        let strategy = strategy_from_code(r.u8()?)?;
         let world_fingerprint = r.u64()?;
         let config_fingerprint = r.u64()?;
         let nodes = r.u64()?;
@@ -745,7 +736,6 @@ impl Snapshot {
             seed,
             tick,
             horizon,
-            strategy,
             world_fingerprint,
             config_fingerprint,
             nodes,
@@ -869,27 +859,6 @@ fn read_kind_counts(r: &mut Reader<'_>) -> Result<KindCounts, SnapshotError> {
     })
 }
 
-fn strategy_code(s: SimStrategy) -> u8 {
-    match s {
-        // Auto never survives construction; encoding it would mean a bug
-        // upstream, but the format stays total.
-        SimStrategy::Auto => 0,
-        SimStrategy::Tick => 1,
-        SimStrategy::Event => 2,
-    }
-}
-
-fn strategy_from_code(code: u8) -> Result<SimStrategy, SnapshotError> {
-    match code {
-        0 => Ok(SimStrategy::Auto),
-        1 => Ok(SimStrategy::Tick),
-        2 => Ok(SimStrategy::Event),
-        _ => Err(SnapshotError::Corrupt {
-            what: "unknown strategy code",
-        }),
-    }
-}
-
 fn kind_code(k: PacketKind) -> u8 {
     match k {
         PacketKind::Worm => 0,
@@ -974,7 +943,6 @@ mod tests {
             seed: 7,
             tick: 12,
             horizon: 50,
-            strategy: SimStrategy::Tick,
             world_fingerprint: 0xABCD,
             config_fingerprint: 0x1234,
             nodes: 5,
@@ -1090,14 +1058,19 @@ mod tests {
 
     #[test]
     fn version_bump_is_a_version_mismatch() {
-        let mut bytes = tiny_snapshot().to_bytes();
-        bytes[8] = bytes[8].wrapping_add(1);
-        match Snapshot::from_bytes(&bytes) {
-            Err(SnapshotError::VersionMismatch { found, supported }) => {
-                assert_eq!(found, u32::from(bytes[8]));
-                assert_eq!(supported, FORMAT_VERSION);
+        // A future version, and format v2 (whose header still carried
+        // the stepping-strategy byte): both are refused by version
+        // before any section is decoded, never misread.
+        for version in [FORMAT_VERSION + 1, 2] {
+            let mut bytes = tiny_snapshot().to_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match Snapshot::from_bytes(&bytes) {
+                Err(SnapshotError::VersionMismatch { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected VersionMismatch for v{version}, got {other:?}"),
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
         }
     }
 

@@ -75,14 +75,14 @@ pub(crate) struct HostStates {
     infected_since: Vec<u64>,
     /// Currently infected nodes, sorted ascending by index. Iterating
     /// this set visits exactly the nodes a full `status` sweep would
-    /// accept, in the same order — the property the event-driven
-    /// strategy's bit-identity rests on (see `netsim::strategy`).
+    /// accept, in the same order — the property event-driven stepping
+    /// rests on (see `netsim::sim`).
     active: BTreeSet<u32>,
     /// End hosts (never routers) not yet immunized, sorted ascending by
     /// index. This is exactly the candidate set of the immunization
     /// sweep — susceptible *and* infected hosts can both be patched —
     /// so `immunization_step` enumerates it instead of every node in
-    /// the world, making the sweep O(unpatched) on both engine paths.
+    /// the world, making the sweep O(unpatched).
     /// Ascending-id enumeration keeps it bit-identical to the old full
     /// sweep (which walked the sorted host list and skipped immunized
     /// entries).

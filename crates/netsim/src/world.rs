@@ -13,13 +13,13 @@ use dynaquar_topology::{Graph, NodeId};
 /// membership for local-preferential worms.
 ///
 /// Routing lives behind a [`RoutingBackend`]: [`RoutingKind::Auto`]
-/// (the default for every constructor) keeps paper-scale worlds on the
-/// dense all-pairs table and switches large worlds to the two-level
-/// hierarchical backend when degree-1 peeling leaves a dense-sized
-/// core (the paper's subnet worlds collapse to their backbone), or the
-/// lazy memory-bounded backend otherwise — so constructing a 100k-node
-/// world no longer forces the `O(n²)` table. All backends return
-/// bit-identical routes. Individual simulation runs borrow the world
+/// (the default for every constructor) builds the two-level
+/// hierarchical table whenever degree-1 peeling leaves a core of at
+/// most `DENSE_AUTO_LIMIT` nodes — every paper-scale world, and the
+/// paper's subnet worlds at any size, which collapse to their
+/// backbone — and the lazy memory-bounded backend otherwise, so
+/// constructing a 100k-node world never forces an `O(n²)` table. Both
+/// backends return bit-identical routes. Individual simulation runs borrow the world
 /// immutably, so multi-run averaging shares one `World` across
 /// threads.
 #[derive(Debug)]

@@ -17,12 +17,13 @@
 //! fault-plan scenarios.
 
 use dynaquar_netsim::background::BackgroundTraffic;
-use dynaquar_netsim::config::{QuarantineConfig, SimConfig, WormBehavior};
+use dynaquar_netsim::config::{
+    ImmunizationConfig, ImmunizationTrigger, QuarantineConfig, SimConfig, WormBehavior,
+};
 use dynaquar_netsim::faults::FaultPlan;
 use dynaquar_netsim::metrics::{JsonlEventWriter, MetricsObserver};
 use dynaquar_netsim::plan::{HostFilter, RateLimitPlan};
 use dynaquar_netsim::sim::{SimResult, Simulator};
-use dynaquar_netsim::strategy::SimStrategy;
 use dynaquar_netsim::World;
 use dynaquar_topology::generators;
 use dynaquar_topology::roles::Role;
@@ -166,9 +167,9 @@ fn conservation_holds_across_filter_cap_and_quarantine_scenarios() {
     let world = World::from_star(star);
     let hosts = world.hosts().to_vec();
 
-    let delaying = {
+    let delaying = |release_period| {
         let mut p = RateLimitPlan::none();
-        p.filter_hosts(&hosts, HostFilter::delaying(200, 1, 10));
+        p.filter_hosts(&hosts, HostFilter::delaying(200, 1, release_period));
         p
     };
     let dropping = {
@@ -198,7 +199,7 @@ fn conservation_holds_across_filter_cap_and_quarantine_scenarios() {
                 .beta(0.8)
                 .horizon(150)
                 .initial_infected(2)
-                .plan(delaying)
+                .plan(delaying(10))
                 .quarantine(QuarantineConfig { queue_threshold: 3 })
                 .build()
                 .unwrap(),
@@ -240,6 +241,39 @@ fn conservation_holds_across_filter_cap_and_quarantine_scenarios() {
                 .build()
                 .unwrap(),
         ),
+        (
+            // Threshold 1: hosts are cut off in the same ticks that
+            // deliveries reach them.
+            "same-tick quarantine + false positives",
+            SimConfig::builder()
+                .beta(1.0)
+                .horizon(60)
+                .initial_infected(4)
+                .log_scans(true)
+                .plan(delaying(3))
+                .quarantine(QuarantineConfig { queue_threshold: 1 })
+                .faults(FaultPlan::none().with_false_positives(6, (1, 20)))
+                .build()
+                .unwrap(),
+        ),
+        (
+            // Long release period: the immunization sweep clears queues
+            // that still hold pending release timers.
+            "immunization clears pending releases",
+            SimConfig::builder()
+                .beta(0.9)
+                .horizon(80)
+                .initial_infected(3)
+                .log_scans(true)
+                .plan(delaying(15))
+                .quarantine(QuarantineConfig { queue_threshold: 6 })
+                .immunization(ImmunizationConfig {
+                    trigger: ImmunizationTrigger::AtTick(5),
+                    mu: 0.25,
+                })
+                .build()
+                .unwrap(),
+        ),
     ];
 
     for (label, cfg) in &scenarios {
@@ -247,20 +281,14 @@ fn conservation_holds_across_filter_cap_and_quarantine_scenarios() {
             let r = Simulator::new(&world, cfg, WormBehavior::random(), seed).run();
             assert!(r.accounting.worm.emitted > 0, "{label}: no scans emitted");
             assert_conserved(&r, label);
-            // The event engine balances the same ledger — and produces
-            // the identical one.
-            let event_cfg = cfg.clone().with_strategy(SimStrategy::Event);
-            let e = Simulator::new(&world, &event_cfg, WormBehavior::random(), seed).run();
-            assert_conserved(&e, label);
-            assert_eq!(r, e, "{label}: strategies diverged");
         }
     }
 }
 
-/// Event-engine edge case: a node outage fires while worm packets are
-/// mid-flight through the downed node. The event engine's in-flight
-/// pool must stall them in place exactly like the tick sweep — every
-/// stalled packet still resolves to a terminal bucket or `in_flight_at_end`.
+/// Edge case: a node outage fires while worm packets are mid-flight
+/// through the downed node. The in-flight pool must stall them in
+/// place — every stalled packet still resolves to a terminal bucket or
+/// `in_flight_at_end`.
 #[test]
 fn event_engine_conserves_packets_through_node_outages_mid_flight() {
     let world = World::from_star(generators::star(49).unwrap());
@@ -270,7 +298,6 @@ fn event_engine_conserves_packets_through_node_outages_mid_flight() {
         .horizon(120)
         .initial_infected(2)
         .faults(faults)
-        .strategy(SimStrategy::Event)
         .build()
         .unwrap();
     let mut stalled_any = false;
@@ -281,15 +308,7 @@ fn event_engine_conserves_packets_through_node_outages_mid_flight() {
             e.accounting.worm.unroutable, 0,
             "outages must stall, not unroute"
         );
-        assert_conserved(&e, "event engine / node outages");
-        let t = Simulator::new(
-            &world,
-            &cfg.clone().with_strategy(SimStrategy::Tick),
-            WormBehavior::random(),
-            seed,
-        )
-        .run();
-        assert_eq!(t, e, "seed {seed}: strategies diverged under node outages");
+        assert_conserved(&e, "node outages");
     }
     assert!(
         stalled_any,
@@ -297,11 +316,10 @@ fn event_engine_conserves_packets_through_node_outages_mid_flight() {
     );
 }
 
-/// Event-engine edge case: a false-positive quarantine cuts off a
-/// *clean* host whose delay queue still holds throttled background-era
-/// scans. The clear must ledger those packets as `cleared` — and the
-/// pending release events the event engine holds for that queue must
-/// die with it, or conservation breaks.
+/// Edge case: a false-positive quarantine cuts off a *clean* host whose
+/// delay queue still holds throttled background-era scans. The clear
+/// must ledger those packets as `cleared` — and the queue's entry in
+/// the release index must die with it, or conservation breaks.
 #[test]
 fn event_engine_conserves_packets_through_false_positive_quarantine() {
     let world = World::from_star(generators::star(99).unwrap());
@@ -319,22 +337,13 @@ fn event_engine_conserves_packets_through_false_positive_quarantine() {
                 .with_false_positives(6, (5, 60))
                 .with_quarantine_jitter(3),
         )
-        .strategy(SimStrategy::Event)
         .build()
         .unwrap();
     let mut false_any = false;
     for seed in 0..8u64 {
         let e = Simulator::new(&world, &cfg, WormBehavior::random(), seed).run();
         false_any |= e.false_quarantined_hosts > 0;
-        assert_conserved(&e, "event engine / false positives");
-        let t = Simulator::new(
-            &world,
-            &cfg.clone().with_strategy(SimStrategy::Tick),
-            WormBehavior::random(),
-            seed,
-        )
-        .run();
-        assert_eq!(t, e, "seed {seed}: strategies diverged under false positives");
+        assert_conserved(&e, "false positives");
     }
     assert!(
         false_any,

@@ -1,7 +1,7 @@
 //! Checkpoint/resume differential harness: a run that is snapshotted at
 //! tick T and resumed must be **bit-identical** to one that never
 //! stopped — same [`SimResult`], byte-identical observer stream — for
-//! any scenario, either stepping strategy, and either routing backend.
+//! any scenario and either routing backend.
 //!
 //! The snapshot codec round-trips through bytes on every split run, so
 //! these properties also pin the on-disk format's fidelity, not just
@@ -21,7 +21,6 @@ use dynaquar_netsim::runner::{
 };
 use dynaquar_netsim::sim::{SimResult, Simulator};
 use dynaquar_netsim::snapshot::Snapshot;
-use dynaquar_netsim::strategy::SimStrategy;
 use dynaquar_netsim::World;
 use dynaquar_parallel::ParallelConfig;
 use dynaquar_topology::generators;
@@ -101,8 +100,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The headline property: snapshot-at-T + resume == uninterrupted,
-    /// for random topology × worm × defense × fault plan × strategy ×
-    /// seed × split tick — equal results AND byte-identical streams.
+    /// for random topology × worm × defense × fault plan × seed ×
+    /// split tick — equal results AND byte-identical streams.
     #[test]
     fn resumed_run_is_bit_identical_to_uninterrupted(
         topo_kind in 0usize..3,
@@ -110,7 +109,6 @@ proptest! {
         graph_seed in 0u64..50,
         defense_kind in 0usize..4,
         chaos_kind in 0usize..3,
-        event_engine in proptest::bool::ANY,
         scans in 1u32..3,
         self_patch in 0u64..20,
         immunize in proptest::bool::ANY,
@@ -129,8 +127,7 @@ proptest! {
             .beta(0.8)
             .horizon(80)
             .initial_infected(2)
-            .log_scans(true)
-            .strategy(if event_engine { SimStrategy::Event } else { SimStrategy::Tick });
+            .log_scans(true);
         match defense_kind {
             0 => {}
             1 => {
@@ -186,15 +183,14 @@ proptest! {
     }
 }
 
-/// The explicit strategy × routing matrix on one loaded scenario: the
-/// resume contract holds on every engine/backend combination, and the
-/// (already pinned) cross-combination equivalences survive the split.
+/// The explicit routing matrix on one loaded scenario: the resume
+/// contract holds on both backends, and the (already pinned)
+/// cross-backend equivalence survives the split.
 #[test]
-fn resume_matrix_across_strategy_and_routing() {
+fn resume_matrix_across_routing() {
     let graph = generators::barabasi_albert(150, 2, 11).unwrap();
     let mut results: Vec<SimResult> = Vec::new();
     for routing in [
-        RoutingKind::Dense,
         RoutingKind::Lazy {
             max_cached_destinations: 16,
         },
@@ -202,44 +198,39 @@ fn resume_matrix_across_strategy_and_routing() {
     ] {
         let world = World::from_power_law_with(graph.clone(), 0.05, 0.10, routing);
         let hosts = world.hosts().to_vec();
-        for strategy in [SimStrategy::Tick, SimStrategy::Event] {
-            let mut p = RateLimitPlan::none();
-            p.filter_hosts(&hosts, HostFilter::delaying(200, 1, 5));
-            let cfg = SimConfig::builder()
-                .beta(0.9)
-                .horizon(70)
-                .initial_infected(2)
-                .log_scans(true)
-                .plan(p)
-                .quarantine(QuarantineConfig { queue_threshold: 3 })
-                .faults(FaultPlan::none().with_link_loss(0.2, 0.1))
-                .strategy(strategy)
-                .build()
-                .unwrap();
-            let behavior = WormBehavior::random();
-            let (full, full_stream) = full_run(&world, &cfg, behavior, 17);
-            for split in [1, 35, 69] {
-                let (resumed, resumed_stream) = split_run(&world, &cfg, behavior, 17, split);
-                assert_eq!(full, resumed, "{routing:?}/{strategy}, split {split}");
-                assert_eq!(
-                    full_stream, resumed_stream,
-                    "{routing:?}/{strategy}, split {split}: stream diverged"
-                );
-            }
-            results.push(full);
+        let mut p = RateLimitPlan::none();
+        p.filter_hosts(&hosts, HostFilter::delaying(200, 1, 5));
+        let cfg = SimConfig::builder()
+            .beta(0.9)
+            .horizon(70)
+            .initial_infected(2)
+            .log_scans(true)
+            .plan(p)
+            .quarantine(QuarantineConfig { queue_threshold: 3 })
+            .faults(FaultPlan::none().with_link_loss(0.2, 0.1))
+            .build()
+            .unwrap();
+        let behavior = WormBehavior::random();
+        let (full, full_stream) = full_run(&world, &cfg, behavior, 17);
+        for split in [1, 35, 69] {
+            let (resumed, resumed_stream) = split_run(&world, &cfg, behavior, 17, split);
+            assert_eq!(full, resumed, "{routing:?}, split {split}");
+            assert_eq!(
+                full_stream, resumed_stream,
+                "{routing:?}, split {split}: stream diverged"
+            );
         }
+        results.push(full);
     }
-    // All six combinations agree with each other too.
-    for r in &results[1..] {
-        assert_eq!(&results[0], r);
-    }
+    // Both backends agree with each other too.
+    assert_eq!(results[0], results[1]);
 }
 
 /// A snapshot taken on a world routed by one backend resumes on a
-/// world routed by a *different* backend with no divergence: routing
+/// world routed by the *other* backend with no divergence: routing
 /// caches are pure-function state (deliberately excluded from the
-/// snapshot), and the world fingerprint is structural — so like
-/// cross-strategy migration, cross-routing-kind resume is legitimate.
+/// snapshot), and the world fingerprint is structural — so
+/// cross-routing-kind resume is legitimate.
 #[test]
 fn cross_routing_kind_resume_is_bit_identical() {
     let build_world = |routing: RoutingKind| {
@@ -254,35 +245,28 @@ fn cross_routing_kind_resume_is_bit_identical() {
     let lazy = RoutingKind::Lazy {
         max_cached_destinations: 8,
     };
-    let cfg = |strategy: SimStrategy| {
-        SimConfig::builder()
-            .beta(0.9)
-            .horizon(60)
-            .initial_infected(2)
-            .log_scans(true)
-            .quarantine(QuarantineConfig { queue_threshold: 3 })
-            .strategy(strategy)
-            .build()
-            .unwrap()
-    };
+    let cfg = SimConfig::builder()
+        .beta(0.9)
+        .horizon(60)
+        .initial_infected(2)
+        .log_scans(true)
+        .quarantine(QuarantineConfig { queue_threshold: 3 })
+        .build()
+        .unwrap();
     let behavior = WormBehavior::random();
-    for (first, second) in [
-        (lazy, RoutingKind::Hier),
-        (RoutingKind::Hier, RoutingKind::Dense),
-        (RoutingKind::Dense, lazy),
-    ] {
-        // Migrate the routing backend *and* the stepping strategy at
-        // the split — both must be invisible to the trajectory.
+    for (first, second) in [(lazy, RoutingKind::Hier), (RoutingKind::Hier, lazy)] {
+        // Migrate the routing backend at the split — it must be
+        // invisible to the trajectory.
         let w_first = build_world(first);
         let w_second = build_world(second);
-        let (full, full_stream) = full_run(&w_second, &cfg(SimStrategy::Event), behavior, 23);
-        let mut sim = Simulator::new(&w_first, &cfg(SimStrategy::Tick), behavior, 23);
+        let (full, full_stream) = full_run(&w_second, &cfg, behavior, 23);
+        let mut sim = Simulator::new(&w_first, &cfg, behavior, 23);
         sim.run_until(30, &mut dynaquar_netsim::observer::NullObserver);
         let snap = Snapshot::from_bytes(&sim.snapshot().to_bytes()).unwrap();
         let mut stream = Vec::new();
         let migrated = {
             let mut writer = JsonlEventWriter::new(&mut stream);
-            let r = Simulator::resume(&w_second, &cfg(SimStrategy::Event), behavior, &snap)
+            let r = Simulator::resume(&w_second, &cfg, behavior, &snap)
                 .expect("cross-routing-kind resume is legitimate")
                 .run_observed(&mut writer);
             writer.finish().unwrap();
@@ -295,43 +279,6 @@ fn cross_routing_kind_resume_is_bit_identical() {
             full_stream.ends_with(&stream),
             "{first:?} -> {second:?}: post-split stream diverged"
         );
-    }
-}
-
-/// A snapshot taken under the tick engine resumes under the event
-/// engine (and vice versa) with no divergence — the strategies are
-/// bit-identical, so the config fingerprint deliberately excludes the
-/// strategy field and mid-run engine migration is legitimate.
-#[test]
-fn cross_strategy_resume_is_bit_identical() {
-    let world = World::from_star(generators::star(59).unwrap());
-    let hosts = world.hosts().to_vec();
-    let mut p = RateLimitPlan::none();
-    p.filter_hosts(&hosts, HostFilter::delaying(200, 1, 5));
-    let base = SimConfig::builder()
-        .beta(0.9)
-        .horizon(60)
-        .initial_infected(2)
-        .log_scans(true)
-        .plan(p)
-        .quarantine(QuarantineConfig { queue_threshold: 3 })
-        .build()
-        .unwrap();
-    let behavior = WormBehavior::random();
-    for (first, second) in [
-        (SimStrategy::Tick, SimStrategy::Event),
-        (SimStrategy::Event, SimStrategy::Tick),
-    ] {
-        let cfg_first = base.clone().with_strategy(first);
-        let cfg_second = base.clone().with_strategy(second);
-        let (full, _) = full_run(&world, &cfg_second, behavior, 23);
-        let mut sim = Simulator::new(&world, &cfg_first, behavior, 23);
-        sim.run_until(30, &mut dynaquar_netsim::observer::NullObserver);
-        let snap = Snapshot::from_bytes(&sim.snapshot().to_bytes()).unwrap();
-        let migrated = Simulator::resume(&world, &cfg_second, behavior, &snap)
-            .expect("cross-strategy resume is legitimate")
-            .run();
-        assert_eq!(full, migrated, "{first} -> {second} migration diverged");
     }
 }
 
@@ -477,8 +424,6 @@ fn snapshot_format_fixture_is_pinned() {
     let hosts = world.hosts().to_vec();
     let mut p = RateLimitPlan::none();
     p.filter_hosts(&hosts, HostFilter::delaying(200, 1, 5));
-    // Strategy pinned explicitly: the CI env matrix must not be able to
-    // move this fixture.
     let cfg = SimConfig::builder()
         .beta(0.8)
         .horizon(40)
@@ -486,7 +431,6 @@ fn snapshot_format_fixture_is_pinned() {
         .log_scans(true)
         .plan(p)
         .quarantine(QuarantineConfig { queue_threshold: 3 })
-        .strategy(SimStrategy::Tick)
         .build()
         .unwrap();
     let mut sim = Simulator::new(&world, &cfg, WormBehavior::random(), 42);
@@ -512,7 +456,9 @@ fn snapshot_format_fixture_is_pinned() {
 }
 
 /// See [`snapshot_format_fixture_is_pinned`] for re-pin instructions.
-/// Re-pinned for format v2: the per-host scan stream section
-/// (`SEC_SCANRNG`) joined the encoding alongside the new RNG
-/// discipline, so both the layout and the simulated state moved.
-const PINNED_FIXTURE_HASH: u64 = 0xBF5F_E401_3868_F593;
+/// Re-pinned for format v3: the header lost its stepping-strategy
+/// byte. The v3 encoding is the v2 fixture (hash
+/// `0xBF5F_E401_3868_F593`) with that one byte removed, the version
+/// word bumped, and the header checksum recomputed — the simulated
+/// state did not move.
+const PINNED_FIXTURE_HASH: u64 = 0x4C17_FE04_6A1C_7D30;

@@ -1,7 +1,7 @@
 //! One shared grammar for `DYNAQUAR_*` environment overrides.
 //!
-//! Every knob the simulator reads from the environment — worker count,
-//! stepping strategy, routing backend, shard count — used to parse its
+//! Every knob the simulator reads from the environment — worker count
+//! and shard count — used to parse its
 //! variable with its own ad-hoc code, and the warning behaviour on a
 //! typo'd value drifted between call sites. [`env_override`] is the one
 //! funnel: unset and empty values defer silently, values the caller
@@ -11,9 +11,9 @@
 //! must never silently change behaviour *without saying so*.
 //!
 //! The helper lives in this crate because it is the bottom of the
-//! dependency stack: `dynaquar-topology` and `dynaquar-netsim` both
-//! consume it, and `netsim::env` re-exports the full catalogue of
-//! variables for discoverability.
+//! dependency stack: [`ParallelConfig::from_env`](crate::ParallelConfig::from_env)
+//! and `dynaquar-netsim`'s shard spec both consume it, and `netsim::env`
+//! re-exports the full catalogue of variables for discoverability.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};

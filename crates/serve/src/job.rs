@@ -449,13 +449,16 @@ impl JobDir {
         write_atomic(&self.spec_path(), emit_json(spec).as_bytes())
     }
 
-    /// Reads and re-validates `spec.json` into a [`Scenario`].
+    /// Reads and re-validates `spec.json` into a [`Scenario`]. Entries
+    /// that ledgers from before the single-engine format hold are
+    /// upgraded first (see `upgrade_ledger_spec`).
     pub fn read_spec(&self) -> Result<(Value, Scenario), ServeError> {
         let text = std::fs::read_to_string(self.spec_path())
             .map_err(io_err("reading spec.json"))?;
         let v = parse_json(&text).map_err(|e| ServeError::Ledger {
             what: format!("spec.json does not parse: {e}"),
         })?;
+        let v = upgrade_ledger_spec(v);
         let scenario = dynaquar_core::spec::scenario_from_value(&v)?;
         Ok((v, scenario))
     }
@@ -503,6 +506,31 @@ impl JobDir {
         }
         write_atomic(&self.index_path(), text.as_bytes())
     }
+}
+
+/// Upgrades a `spec.json` written before the engine had one stepping
+/// path and one table backend. Every canonical spec of that time
+/// carried a `strategy` key, and some name `"routing": "dense"`; both
+/// are typed errors for a submitted spec. Here the key is dropped (all
+/// strategies ran the one event engine bit-identically) and `dense`
+/// becomes `hier` (bit-identical tables), so a restart keeps the jobs
+/// the ledger already holds.
+fn upgrade_ledger_spec(spec: Value) -> Value {
+    let Value::Object(entries) = spec else {
+        return spec;
+    };
+    Value::Object(
+        entries
+            .into_iter()
+            .filter(|(key, _)| key != "strategy")
+            .map(|(key, value)| match value {
+                Value::Str(s) if key == "routing" && s == "dense" => {
+                    (key, Value::Str("hier".to_string()))
+                }
+                value => (key, value),
+            })
+            .collect(),
+    )
 }
 
 /// Atomic tmp + rename write, the same discipline the engine's

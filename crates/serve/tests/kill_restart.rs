@@ -178,6 +178,21 @@ fn fabricate_midflight_ledger(state: &Path) -> u64 {
     offset
 }
 
+/// Rewrites a job's `spec.json` the way a daemon from before the
+/// single-engine format persisted it: every canonical spec then carried
+/// a `strategy` key, and `routing` could name the `dense` table.
+fn stamp_legacy_spec(job_dir: &Path, routing: &str, strategy: &str) {
+    let dir = JobDir::new(job_dir.to_path_buf());
+    let text = std::fs::read_to_string(dir.spec_path()).unwrap();
+    let Value::Object(mut entries) = parse_json(&text).unwrap() else {
+        panic!("spec.json is not an object");
+    };
+    entries.retain(|(key, _)| key != "routing");
+    entries.push(("routing".into(), Value::Str(routing.into())));
+    entries.push(("strategy".into(), Value::Str(strategy.into())));
+    dir.write_spec(&Value::Object(entries)).unwrap();
+}
+
 /// Opens a daemon over the (possibly corrupted) ledger, waits for
 /// job-1, and returns its persisted result JSON plus the final stream
 /// bytes. Every leg must end here without a panic.
@@ -229,6 +244,61 @@ fn corrupt_checkpoint_falls_back_to_a_fresh_deterministic_restart() {
     // The corrupt file was deleted during recovery; the fresh restart
     // then legitimately re-wrote a (valid) tick-10 checkpoint.
     assert!(dynaquar_netsim::Snapshot::read(&ckpt).is_ok());
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn format_v2_checkpoint_is_discarded_and_the_job_reruns_fresh() {
+    let state = temp_dir("v2ckpt");
+    fabricate_midflight_ledger(&state);
+    // A daemon from before format v3 left a spec with a `strategy` key
+    // and a checkpoint stamped with the previous format version (bytes
+    // 8..12).
+    stamp_legacy_spec(&state.join("jobs").join("job-1"), "auto", "auto");
+    let ckpt = state.join("jobs").join("job-1").join("ckpt-tick-10.dqsnap");
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&ckpt, &bytes).unwrap();
+    assert!(matches!(
+        dynaquar_netsim::Snapshot::read(&ckpt),
+        Err(dynaquar_netsim::SnapshotError::VersionMismatch { found: 2, .. })
+    ));
+    let (direct_result, direct_stream) = direct_run(&star_spec());
+    let (result, stream, notes) = recover_and_finish(&state);
+    assert!(
+        notes
+            .iter()
+            .any(|n| n.contains("job-1") && n.contains("discarding unusable checkpoint at tick 10")),
+        "expected the v2 checkpoint to be discarded with a note, got {notes:?}"
+    );
+    assert!(
+        notes.iter().any(|n| n.contains("restarting fresh")),
+        "expected a fresh restart, got {notes:?}"
+    );
+    assert_eq!(result, result_to_json(&direct_result));
+    assert_eq!(stream, direct_stream);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn done_job_from_a_pre_single_engine_ledger_stays_done_after_a_restart() {
+    let state = temp_dir("legacydone");
+    let daemon = Daemon::open(ServeConfig::new(&state)).unwrap();
+    let id = daemon.submit(&star_spec(), None).unwrap();
+    daemon.wait(&id).unwrap();
+    let result = daemon.result_json(&id).unwrap();
+    daemon.shutdown();
+    stamp_legacy_spec(&state.join("jobs").join(&id), "dense", "tick");
+
+    let daemon = Daemon::open(ServeConfig::new(&state)).unwrap();
+    assert!(
+        daemon.recovery_notes().is_empty(),
+        "a finished legacy job needs no recovery, got {:?}",
+        daemon.recovery_notes()
+    );
+    assert_eq!(daemon.status(&id).unwrap(), JobStatus::Done);
+    assert_eq!(daemon.result_json(&id).unwrap(), result);
+    daemon.shutdown();
     let _ = std::fs::remove_dir_all(&state);
 }
 

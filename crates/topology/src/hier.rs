@@ -17,10 +17,10 @@
 //! `src → src's anchor → core route → dst's anchor → dst` with the
 //! distance `core_dist + depth(src) + depth(dst)`.
 //!
-//! # Bit-identity with the dense table
+//! # Bit-identity with the all-pairs table
 //!
-//! Every backend must reproduce the dense table's next hops bit-exactly
-//! (the engine fingerprints depend on it). Two observations make the
+//! Every backend must reproduce the all-pairs BFS table's next hops
+//! bit-exactly (the engine fingerprints depend on it). Two observations make the
 //! composition exact rather than merely correct:
 //!
 //! 1. **Peeled trees cannot shortcut the core.** A pendant node's
@@ -41,8 +41,12 @@
 //! In-tree queries need no tie-breaking at all: tree paths are unique,
 //! so the next hop is forced. The differential suite
 //! (`tests/routing_oracle.rs`) pins all of this against the serial
-//! dense oracle on every topology family, including disconnected
+//! all-pairs oracle on every topology family, including disconnected
 //! graphs.
+//!
+//! A graph with nothing to peel (minimum degree 2, such as the paper's
+//! power-law worlds) keeps every node in the core, and the backend *is*
+//! a dense all-pairs table behind an identity index map.
 
 use crate::error::Error;
 use crate::graph::{Csr, Graph, NodeId};
@@ -108,20 +112,9 @@ fn peel(csr: &Csr) -> Peeled {
     }
 }
 
-/// Number of nodes that survive degree-1 peeling of `graph`.
-///
-/// This is what the hier backend builds its dense core table over;
-/// [`RoutingKind::Auto`](crate::lazy::RoutingKind) uses it to decide
-/// whether a large world is hierarchical enough for [`HierRouting`].
-pub fn peeled_core_size(graph: &Graph) -> usize {
-    let csr = Csr::from_graph(graph);
-    let peeled = peel(&csr);
-    graph.node_count() - peeled.order.len()
-}
-
 /// Two-level routing backend: dense core table + pendant-tree arrays.
 ///
-/// Memory is `O(core² + n)` against the dense table's `O(n²)`; lookups
+/// Memory is `O(core² + n)` against a flat table's `O(n²)`; lookups
 /// are `O(1)` across trees and `O(tree depth)` within one — for the
 /// paper's star subnets that depth is ≤ 2.
 ///
@@ -139,7 +132,7 @@ pub fn peeled_core_size(graph: &Graph) -> usize {
 ///     .build()
 ///     .unwrap();
 /// let hier = HierRouting::new(&t.graph);
-/// let dense = RoutingTable::shortest_paths(&t.graph);
+/// let oracle = RoutingTable::shortest_paths_serial(&t.graph);
 /// // Host stars peel, then the now-degree-1 edge routers peel too;
 /// // the two backbone routers share one edge, so one of them peels
 /// // as well and a single core node remains.
@@ -147,7 +140,7 @@ pub fn peeled_core_size(graph: &Graph) -> usize {
 /// for src in 0..t.graph.node_count() {
 ///     for dst in 0..t.graph.node_count() {
 ///         let (s, d) = (src.into(), dst.into());
-///         assert_eq!(hier.next_hop(s, d), dense.next_hop(s, d));
+///         assert_eq!(hier.next_hop(s, d), oracle.next_hop(s, d));
 ///     }
 /// }
 /// ```
@@ -178,9 +171,21 @@ impl HierRouting {
 
     /// [`HierRouting::new`] with an explicit pool size.
     pub fn new_with(graph: &Graph, pool: &ParallelConfig) -> Self {
+        Self::with_core_limit(graph, usize::MAX, pool).expect("no core exceeds usize::MAX")
+    }
+
+    /// [`HierRouting::new_with`], unless more than `max_core` nodes
+    /// survive the peel: then `None`, before any table is built. The
+    /// decision costs the peel the build needs anyway, which is how
+    /// [`RoutingKind::Auto`](crate::lazy::RoutingKind) picks between
+    /// this backend and the lazy cache.
+    pub fn with_core_limit(graph: &Graph, max_core: usize, pool: &ParallelConfig) -> Option<Self> {
         let csr = Csr::from_graph(graph);
         let n = csr.node_count();
         let peeled = peel(&csr);
+        if n - peeled.order.len() > max_core {
+            return None;
+        }
 
         // Depth and anchor propagate root-to-leaf, i.e. in reverse
         // removal order: a node's parent is removed after it (or never),
@@ -220,7 +225,7 @@ impl HierRouting {
         let core_csr = Csr::from_parts(offsets, targets);
         let core_cells = Cells::build(&core_csr, pool);
 
-        HierRouting {
+        Some(HierRouting {
             n,
             parent: peeled.parent,
             depth,
@@ -228,10 +233,10 @@ impl HierRouting {
             core_index,
             core_nodes,
             core_cells,
-        }
+        })
     }
 
-    /// Number of core (unpeeled) nodes the dense table covers.
+    /// Number of core (unpeeled) nodes the core table covers.
     pub fn core_size(&self) -> usize {
         self.core_nodes.len()
     }
@@ -352,22 +357,22 @@ mod tests {
     use crate::generators;
     use crate::routing::RoutingTable;
 
-    /// Exhaustive ordered-pair agreement with the dense table.
-    fn assert_matches_dense(graph: &Graph, ctx: &str) {
+    /// Exhaustive ordered-pair agreement with the serial oracle.
+    fn assert_matches_oracle(graph: &Graph, ctx: &str) {
         let hier = HierRouting::new(graph);
-        let dense = RoutingTable::shortest_paths_serial(graph);
+        let oracle = RoutingTable::shortest_paths_serial(graph);
         let n = graph.node_count();
         for dst in 0..n {
             for src in 0..n {
                 let (s, d) = (NodeId::from(src), NodeId::from(dst));
                 assert_eq!(
                     hier.next_hop(s, d),
-                    dense.next_hop(s, d),
+                    oracle.next_hop(s, d),
                     "{ctx}: hop {src}->{dst}"
                 );
                 assert_eq!(
                     hier.distance(s, d),
-                    dense.distance(s, d),
+                    oracle.distance(s, d),
                     "{ctx}: dist {src}->{dst}"
                 );
             }
@@ -386,7 +391,7 @@ mod tests {
         // Host stars peel first, which drops every edge router to
         // degree 1 so they peel too; the backbone ring survives.
         assert_eq!(hier.core_size(), 3);
-        assert_matches_dense(&t.graph, "subnet");
+        assert_matches_oracle(&t.graph, "subnet");
     }
 
     #[test]
@@ -394,17 +399,17 @@ mod tests {
         let star = generators::star(7).unwrap();
         let hier = HierRouting::new(&star.graph);
         assert_eq!(hier.core_size(), 1);
-        assert_matches_dense(&star.graph, "star");
+        assert_matches_oracle(&star.graph, "star");
     }
 
     #[test]
     fn cycle_heavy_graph_keeps_everything_in_core() {
         // BA with m=2 has minimum degree 2: nothing peels, and the
-        // backend degenerates to a dense table behind an index map.
+        // backend is an all-pairs table behind an index map.
         let g = generators::barabasi_albert(60, 2, 3).unwrap();
         let hier = HierRouting::new(&g);
         assert_eq!(hier.core_size(), 60);
-        assert_matches_dense(&g, "ba");
+        assert_matches_oracle(&g, "ba");
     }
 
     #[test]
@@ -423,7 +428,7 @@ mod tests {
         // Path 7-8-9 (peels to its middle node).
         g.add_edge(7.into(), 8.into()).unwrap();
         g.add_edge(8.into(), 9.into()).unwrap();
-        assert_matches_dense(&g, "disconnected");
+        assert_matches_oracle(&g, "disconnected");
         let hier = HierRouting::new(&g);
         assert_eq!(hier.distance(4.into(), 7.into()), None);
         assert_eq!(hier.next_hop(5.into(), 9.into()), None);
@@ -450,23 +455,31 @@ mod tests {
         assert_eq!(hier.next_hop(5.into(), 7.into()), Some(4.into()));
         // Descending query: anchor toward a leaf.
         assert_eq!(hier.next_hop(0.into(), 5.into()), Some(3.into()));
-        assert_matches_dense(&g, "chains");
+        assert_matches_oracle(&g, "chains");
     }
 
     #[test]
-    fn peeled_core_size_matches_backend() {
+    fn core_limit_refuses_only_oversized_cores() {
         let t = generators::SubnetTopologyBuilder::new()
             .backbone_routers(2)
             .subnets(5)
             .hosts_per_subnet(10)
             .build()
             .unwrap();
+        let pool = ParallelConfig::new(1);
+        let core = HierRouting::new(&t.graph).core_size();
+        let at_limit = HierRouting::with_core_limit(&t.graph, core, &pool).expect("fits");
+        assert_eq!(at_limit.core_size(), core);
+        let ba = generators::barabasi_albert(40, 2, 5).unwrap();
+        assert!(HierRouting::with_core_limit(&ba, 39, &pool).is_none());
         assert_eq!(
-            peeled_core_size(&t.graph),
-            HierRouting::new(&t.graph).core_size()
+            HierRouting::with_core_limit(&ba, 40, &pool)
+                .unwrap()
+                .core_size(),
+            40
         );
         let lonely = Graph::with_nodes(3);
-        assert_eq!(peeled_core_size(&lonely), 3);
+        assert_eq!(HierRouting::new(&lonely).core_size(), 3);
     }
 
     #[test]

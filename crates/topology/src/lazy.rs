@@ -1,10 +1,10 @@
 //! Memory-bounded lazy routing: per-destination BFS behind a bounded,
 //! sharded LRU cache.
 //!
-//! The dense [`RoutingTable`](crate::routing::RoutingTable) costs
-//! `~4·n²` bytes — ~400 MB at 10k nodes and ~40 GB at 100k — so it
-//! cannot even be *constructed* for the topologies the
-//! production-scale engine targets. [`LazyRouting`] stores nothing up
+//! An all-pairs table costs `~4·n²` bytes — ~400 MB at 10k nodes and
+//! ~40 GB at 100k — so the [`HierRouting`](crate::hier::HierRouting)
+//! table cannot even be *constructed* for a large graph that does not
+//! peel to a small core. [`LazyRouting`] stores nothing up
 //! front: the first query toward a destination runs one BFS rooted at
 //! that destination (`O(n + m)`, `8·n` bytes) and caches its packed
 //! hop/distance row; a bounded LRU evicts the coldest destination when
@@ -31,38 +31,28 @@
 
 use crate::error::Error;
 use crate::graph::{Csr, Graph, NodeId};
-use crate::routing::{bfs_fill_row, PackedCell, RoutingBackend, RoutingTable, NO_HOP};
+use crate::hier::HierRouting;
+use crate::routing::{bfs_fill_row, PackedCell, RoutingBackend, NO_HOP};
+use dynaquar_parallel::ParallelConfig;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
-/// Environment variable consulted by [`RoutingKind::Auto`]: `dense`,
-/// `lazy`, or `hier` forces that backend for every Auto-configured
-/// world (the CI routing matrix drives the whole test suite through
-/// each backend this way). Unset, empty, or `auto` falls back to the
-/// structure rule; any other value also falls back but emits a one-shot
-/// warning naming the bad value — a typo must not silently change which
-/// backend ran.
-pub const ROUTING_ENV: &str = "DYNAQUAR_ROUTING";
-
 /// Which routing backend a world should use.
 ///
-/// `Auto` keeps the paper-scale worlds (n ≤ [`DENSE_AUTO_LIMIT`]) on the
-/// dense all-pairs table — bit-for-bit the pre-existing behaviour — and
-/// switches larger worlds to either the two-level
-/// [`HierRouting`](crate::hier::HierRouting) backend (when degree-1
-/// peeling shrinks the graph to a dense-sized core, as the paper's
-/// subnet topology does) or the lazy LRU backend with a capacity sized
-/// by [`default_cache_capacity`], so world construction never forces
-/// the `O(n²)` table. All three are bit-identical, so the choice is
-/// pure performance.
+/// `Auto` peels the graph once and builds the two-level
+/// [`HierRouting`] table whenever the peeled core has at most
+/// [`DENSE_AUTO_LIMIT`] nodes — every paper-scale world, and the
+/// paper's subnet worlds at any size, whose cores collapse to their
+/// backbone. A larger core (e.g. a flat power-law graph of minimum
+/// degree 2 above the limit, which does not peel at all) gets the lazy
+/// LRU backend with a capacity sized by [`default_cache_capacity`], so
+/// world construction never forces an `O(n²)` table. Both backends are
+/// bit-identical, so the choice is pure performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
-    /// [`ROUTING_ENV`] override if set, else dense below
-    /// [`DENSE_AUTO_LIMIT`] nodes, hier above it when the peeled core
-    /// is dense-sized, lazy otherwise.
+    /// Hier when the peeled core has at most [`DENSE_AUTO_LIMIT`]
+    /// nodes, lazy otherwise.
     Auto,
-    /// Always precompute the dense all-pairs table.
-    Dense,
     /// Always use the lazy backend with this many cached destinations
     /// (clamped to at least 1).
     Lazy {
@@ -70,14 +60,13 @@ pub enum RoutingKind {
         max_cached_destinations: usize,
     },
     /// Always use the two-level hierarchical backend (a dense core
-    /// table plus pendant-tree parent arrays). Degenerates to a dense
-    /// table behind an index map on graphs with nothing to peel.
+    /// table plus pendant-tree parent arrays). On graphs with nothing
+    /// to peel its core is the whole graph.
     Hier,
 }
 
-/// Node count at and below which [`RoutingKind::Auto`] picks the dense
-/// table; above it, the same bound caps the *peeled core* size the
-/// hier backend may build its dense core table over.
+/// Largest peeled core [`RoutingKind::Auto`] builds the hier backend's
+/// all-pairs core table over (~64 MB of compact cells at the limit).
 pub const DENSE_AUTO_LIMIT: usize = 4096;
 
 /// Memory budget [`RoutingKind::Auto`] grants the lazy cache.
@@ -91,102 +80,28 @@ pub fn default_cache_capacity(n: usize) -> usize {
     (AUTO_CACHE_BUDGET_BYTES / per_destination).clamp(8, n.max(8))
 }
 
-/// Reads the [`ROUTING_ENV`] override; warns once per process on an
-/// unrecognized value (via the shared `dynaquar-parallel` env helper —
-/// a misspelled override must not silently fall through to the
-/// structure rule).
-fn env_override() -> Option<RoutingKind> {
-    dynaquar_parallel::env_override(
-        ROUTING_ENV,
-        "\"dense\", \"lazy\", \"hier\", or \"auto\" \
-         (falling back to the auto structure rule)",
-        |v| match v.to_ascii_lowercase().as_str() {
-            "dense" => dynaquar_parallel::EnvParse::Value(RoutingKind::Dense),
-            "lazy" => dynaquar_parallel::EnvParse::Value(RoutingKind::Lazy {
-                max_cached_destinations: 0, // sized per graph by the caller
-            }),
-            "hier" => dynaquar_parallel::EnvParse::Value(RoutingKind::Hier),
-            // Explicitly asking for the default is not a typo.
-            "auto" => dynaquar_parallel::EnvParse::Default,
-            _ => dynaquar_parallel::EnvParse::Invalid,
-        },
-    )
-}
-
 impl RoutingKind {
-    /// Resolves `Auto` against a concrete node count (and the
-    /// [`ROUTING_ENV`] override).
-    ///
-    /// Size alone cannot justify the hier backend — that takes the
-    /// graph's peeled core, which only [`RoutingKind::build`] sees — so
-    /// without an env override this never returns `Hier`: it reports
-    /// the dense/lazy *fallback* large worlds get when their core is
-    /// too big.
-    pub fn resolve(self, n: usize) -> RoutingKind {
-        match self {
-            RoutingKind::Auto => {
-                match env_override() {
-                    Some(RoutingKind::Lazy { .. }) => {
-                        return RoutingKind::Lazy {
-                            max_cached_destinations: default_cache_capacity(n),
-                        }
-                    }
-                    Some(kind) => return kind,
-                    None => {}
-                }
-                if n <= DENSE_AUTO_LIMIT {
-                    RoutingKind::Dense
-                } else {
-                    RoutingKind::Lazy {
-                        max_cached_destinations: default_cache_capacity(n),
-                    }
-                }
-            }
-            other => other,
-        }
-    }
-
     /// Builds the backend for `graph`.
     ///
-    /// `Auto` consults [`ROUTING_ENV`] first, keeps dense-sized graphs
-    /// dense, and above the limit peels the graph
-    /// ([`crate::hier::peeled_core_size`], `O(n + m)`): a core that
-    /// fits the dense bound — the paper's subnet worlds collapse to
-    /// their backbone — routes hierarchically, anything else (e.g. flat
-    /// power-law graphs of minimum degree 2, which don't peel at all)
-    /// falls back to the lazy LRU.
+    /// `Auto` decides from the same peel the hier backend is built
+    /// from ([`HierRouting::with_core_limit`], `O(n + m)`), so a world
+    /// is peeled once whichever backend it gets.
     pub fn build(self, graph: &Graph) -> Box<dyn RoutingBackend> {
-        let n = graph.node_count();
-        let resolved = match self {
-            RoutingKind::Auto => match env_override() {
-                Some(RoutingKind::Lazy { .. }) => RoutingKind::Lazy {
-                    max_cached_destinations: default_cache_capacity(n),
-                },
-                Some(kind) => kind,
-                None => {
-                    if n <= DENSE_AUTO_LIMIT {
-                        RoutingKind::Dense
-                    } else {
-                        let core = crate::hier::peeled_core_size(graph);
-                        if core <= DENSE_AUTO_LIMIT && core < n {
-                            RoutingKind::Hier
-                        } else {
-                            RoutingKind::Lazy {
-                                max_cached_destinations: default_cache_capacity(n),
-                            }
-                        }
-                    }
+        match self {
+            RoutingKind::Auto => {
+                let pool = ParallelConfig::from_env();
+                match HierRouting::with_core_limit(graph, DENSE_AUTO_LIMIT, &pool) {
+                    Some(hier) => Box::new(hier),
+                    None => Box::new(LazyRouting::new(
+                        graph,
+                        default_cache_capacity(graph.node_count()),
+                    )),
                 }
-            },
-            other => other,
-        };
-        match resolved {
-            RoutingKind::Dense => Box::new(RoutingTable::shortest_paths(graph)),
+            }
             RoutingKind::Lazy {
                 max_cached_destinations,
             } => Box::new(LazyRouting::new(graph, max_cached_destinations)),
-            RoutingKind::Hier => Box::new(crate::hier::HierRouting::new(graph)),
-            RoutingKind::Auto => unreachable!("Auto is resolved above"),
+            RoutingKind::Hier => Box::new(HierRouting::new(graph)),
         }
     }
 }
@@ -263,16 +178,16 @@ struct Shard {
 ///
 /// let star = generators::star(4).expect("valid");
 /// let lazy = LazyRouting::new(&star.graph, 2);
-/// let dense = RoutingTable::shortest_paths(&star.graph);
+/// let oracle = RoutingTable::shortest_paths_serial(&star.graph);
 /// assert_eq!(
-///     RoutingBackend::next_hop(&lazy, 1.into(), 2.into()),
-///     dense.next_hop(1.into(), 2.into()),
+///     lazy.next_hop(1.into(), 2.into()),
+///     oracle.next_hop(1.into(), 2.into()),
 /// );
 /// ```
 pub struct LazyRouting {
     n: usize,
     /// CSR snapshot of the adjacency lists (`O(n + m)`), so the backend
-    /// is self-contained like the dense table.
+    /// is self-contained.
     csr: Csr,
     capacity: usize,
     shards: Vec<Shard>,
@@ -465,9 +380,10 @@ impl RoutingBackend for LazyRouting {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::routing::RoutingTable;
 
     fn assert_pairwise_identical(g: &Graph, capacity: usize) {
-        let dense = RoutingTable::shortest_paths(g);
+        let oracle = RoutingTable::shortest_paths_serial(g);
         let lazy = LazyRouting::new(g, capacity);
         let n = g.node_count();
         for src in 0..n {
@@ -475,12 +391,12 @@ mod tests {
                 let (s, d) = (NodeId::from(src), NodeId::from(dst));
                 assert_eq!(
                     RoutingBackend::next_hop(&lazy, s, d),
-                    dense.next_hop(s, d),
+                    oracle.next_hop(s, d),
                     "next_hop({s}, {d})"
                 );
                 assert_eq!(
                     RoutingBackend::distance(&lazy, s, d),
-                    dense.distance(s, d),
+                    oracle.distance(s, d),
                     "distance({s}, {d})"
                 );
             }
@@ -488,19 +404,19 @@ mod tests {
     }
 
     #[test]
-    fn matches_dense_on_star_even_with_tiny_cache() {
+    fn matches_oracle_on_star_even_with_tiny_cache() {
         let star = generators::star(12).unwrap();
         assert_pairwise_identical(&star.graph, 1);
     }
 
     #[test]
-    fn matches_dense_on_power_law() {
+    fn matches_oracle_on_power_law() {
         let g = generators::barabasi_albert(80, 2, 5).unwrap();
         assert_pairwise_identical(&g, 7);
     }
 
     #[test]
-    fn matches_dense_when_sharded() {
+    fn matches_oracle_when_sharded() {
         let g = generators::barabasi_albert(90, 2, 13).unwrap();
         let lazy = LazyRouting::new(&g, SHARD_THRESHOLD);
         assert_eq!(lazy.shard_count(), SHARD_COUNT);
@@ -508,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_dense_on_disconnected_graph() {
+    fn matches_oracle_on_disconnected_graph() {
         let mut g = Graph::with_nodes(6);
         g.add_edge(0.into(), 1.into()).unwrap();
         g.add_edge(1.into(), 2.into()).unwrap();
@@ -520,19 +436,19 @@ mod tests {
     }
 
     #[test]
-    fn derived_walks_match_dense() {
+    fn derived_walks_match_oracle() {
         let g = generators::barabasi_albert(40, 2, 9).unwrap();
-        let dense = RoutingTable::shortest_paths(&g);
+        let oracle = RoutingTable::shortest_paths_serial(&g);
         let lazy = LazyRouting::new(&g, 5);
-        assert_eq!(RoutingBackend::diameter(&lazy), dense.diameter());
+        assert_eq!(RoutingBackend::diameter(&lazy), oracle.diameter());
         assert!(
-            (RoutingBackend::average_path_length(&lazy) - dense.average_path_length()).abs()
+            (RoutingBackend::average_path_length(&lazy) - oracle.average_path_length()).abs()
                 < 1e-12
         );
-        assert_eq!(RoutingBackend::link_loads(&lazy, &g), dense.link_loads(&g));
+        assert_eq!(RoutingBackend::link_loads(&lazy, &g), oracle.link_loads(&g));
         assert_eq!(
             RoutingBackend::path(&lazy, 3.into(), 31.into()),
-            dense.path(3.into(), 31.into())
+            oracle.path(3.into(), 31.into())
         );
     }
 
@@ -595,19 +511,19 @@ mod tests {
     fn concurrent_lookups_never_undercount_stats() {
         let g = generators::barabasi_albert(240, 2, 11).unwrap();
         let lazy = LazyRouting::new(&g, 128);
-        let dense = RoutingTable::shortest_paths(&g);
+        let oracle = RoutingTable::shortest_paths_serial(&g);
         const THREADS: usize = 8;
         const QUERIES: usize = 500;
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let (lazy, dense) = (&lazy, &dense);
+                let (lazy, oracle) = (&lazy, &oracle);
                 scope.spawn(move || {
                     for i in 0..QUERIES {
                         let src = NodeId::from((i * 7 + t * 13) % 240);
                         let dst = NodeId::from((i * 31 + t * 5) % 240);
                         assert_eq!(
                             RoutingBackend::distance(lazy, src, dst),
-                            dense.distance(src, dst)
+                            oracle.distance(src, dst)
                         );
                     }
                 });
@@ -641,33 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_kind_resolves_by_size() {
-        // The env override is process-global; only exercise the size
-        // rule when the variable is not set (the CI matrix sets it for
-        // whole jobs, never inside one).
-        if std::env::var(ROUTING_ENV).is_ok() {
-            return;
-        }
-        assert_eq!(RoutingKind::Auto.resolve(1000), RoutingKind::Dense);
-        assert_eq!(RoutingKind::Auto.resolve(DENSE_AUTO_LIMIT), RoutingKind::Dense);
-        match RoutingKind::Auto.resolve(DENSE_AUTO_LIMIT + 1) {
-            RoutingKind::Lazy {
-                max_cached_destinations,
-            } => assert_eq!(
-                max_cached_destinations,
-                default_cache_capacity(DENSE_AUTO_LIMIT + 1)
-            ),
-            other => panic!("expected lazy, got {other:?}"),
-        }
-        assert_eq!(
-            RoutingKind::Dense.resolve(1_000_000),
-            RoutingKind::Dense,
-            "explicit kinds resolve to themselves"
-        );
-        assert_eq!(RoutingKind::Hier.resolve(10), RoutingKind::Hier);
-    }
-
-    #[test]
     fn default_capacity_fits_the_budget() {
         for n in [5_000usize, 20_000, 100_000, 1_000_000] {
             let cap = default_cache_capacity(n);
@@ -681,12 +570,8 @@ mod tests {
 
     #[test]
     fn kind_build_picks_the_right_backend() {
-        if std::env::var(ROUTING_ENV).is_ok() {
-            return;
-        }
         let g = generators::ring(16).unwrap();
-        assert_eq!(RoutingKind::Auto.build(&g).backend_name(), "dense");
-        assert_eq!(RoutingKind::Dense.build(&g).backend_name(), "dense");
+        assert_eq!(RoutingKind::Auto.build(&g).backend_name(), "hier");
         assert_eq!(RoutingKind::Hier.build(&g).backend_name(), "hier");
         let lazy = RoutingKind::Lazy {
             max_cached_destinations: 3,
@@ -694,6 +579,19 @@ mod tests {
         .build(&g);
         assert_eq!(lazy.backend_name(), "lazy");
         assert_eq!(lazy.node_count(), 16);
+    }
+
+    #[test]
+    fn auto_builds_hier_up_to_the_core_limit_and_lazy_above() {
+        // Minimum degree 2: nothing peels, so the core is the graph
+        // (the limit itself is pinned by hier's `with_core_limit` test).
+        let above = generators::barabasi_albert(DENSE_AUTO_LIMIT + 1, 2, 1).unwrap();
+        let lazy = RoutingKind::Auto.build(&above);
+        assert_eq!(lazy.backend_name(), "lazy");
+        assert_eq!(lazy.node_count(), DENSE_AUTO_LIMIT + 1);
+        // A star of any size peels to its hub.
+        let star = generators::star(2 * DENSE_AUTO_LIMIT).unwrap();
+        assert_eq!(RoutingKind::Auto.build(&star.graph).backend_name(), "hier");
     }
 
     #[test]

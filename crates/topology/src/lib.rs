@@ -14,10 +14,11 @@
 //! [`routing`] with per-link load counts (the paper weights each
 //! rate-limited link's budget "proportional to the number of routing table
 //! entries the link occupies") behind a [`RoutingBackend`] trait — the
-//! dense all-pairs [`RoutingTable`] for paper-scale worlds, the
-//! memory-bounded [`lazy::LazyRouting`] LRU for huge flat topologies,
-//! and the two-level [`hier::HierRouting`] composition for large
-//! hierarchical worlds (dense gateway core + pendant-tree arrays) —
+//! two-level [`hier::HierRouting`] table (an all-pairs table over the
+//! graph's peeled core plus pendant-tree arrays) for every paper-scale
+//! and hierarchical world, and the memory-bounded [`lazy::LazyRouting`]
+//! LRU for huge flat topologies; the serial [`RoutingTable`] is the
+//! oracle both are tested against —
 //! degree-based [role assignment](roles)
 //! ("the top 5% and 10% of nodes with the most number of connections as
 //! backbone and edge routers"), and [path-coverage](paths) computation —
@@ -28,13 +29,13 @@
 //! ```
 //! use dynaquar_topology::generators;
 //! use dynaquar_topology::roles::{assign_by_degree, Role};
-//! use dynaquar_topology::routing::RoutingTable;
+//! use dynaquar_topology::{HierRouting, RoutingBackend};
 //!
 //! let graph = generators::barabasi_albert(100, 2, 42).expect("valid parameters");
 //! assert!(graph.is_connected());
 //! let roles = assign_by_degree(&graph, 0.05, 0.10);
 //! assert_eq!(roles.iter().filter(|r| **r == Role::Backbone).count(), 5);
-//! let routing = RoutingTable::shortest_paths(&graph);
+//! let routing = HierRouting::new(&graph);
 //! assert!(routing.path(0.into(), 99.into()).is_some());
 //! ```
 

@@ -126,13 +126,13 @@ pub fn link_coverage(
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::hier::HierRouting;
     use crate::roles::{assign_by_degree, nodes_with_role, Role};
-    use crate::routing::RoutingTable;
 
     #[test]
     fn star_hub_covers_all_leaf_pairs() {
         let star = generators::star(10).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
+        let rt = HierRouting::new(&star.graph);
         let leaves: Vec<NodeId> = star.leaves().collect();
         let alpha = node_coverage(&rt, &leaves, &[star.hub], false);
         assert_eq!(alpha, 1.0);
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn no_filters_zero_coverage() {
         let star = generators::star(10).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
+        let rt = HierRouting::new(&star.graph);
         let leaves: Vec<NodeId> = star.leaves().collect();
         assert_eq!(node_coverage(&rt, &leaves, &[], false), 0.0);
     }
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn endpoint_filters_only_count_when_asked() {
         let star = generators::star(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
+        let rt = HierRouting::new(&star.graph);
         let leaves: Vec<NodeId> = star.leaves().collect();
         // Filtering one leaf covers nothing as transit...
         assert_eq!(node_coverage(&rt, &leaves, &[leaves[0]], false), 0.0);
@@ -164,7 +164,7 @@ mod tests {
         // The premise of Section 5.3: the top-degree 5% of a power-law
         // graph covers the large majority of host-to-host paths.
         let g = generators::barabasi_albert(500, 2, 13).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let roles = assign_by_degree(&g, 0.05, 0.10);
         let hosts = nodes_with_role(&roles, Role::EndHost);
         let backbone = nodes_with_role(&roles, Role::Backbone);
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn link_coverage_on_ring() {
         let g = generators::ring(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let nodes: Vec<NodeId> = g.nodes().collect();
         let mut mask = vec![false; g.edge_count()];
         assert_eq!(link_coverage(&g, &rt, &nodes, &mask), 0.0);
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn degenerate_endpoint_sets() {
         let g = generators::ring(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         assert_eq!(node_coverage(&rt, &[], &[], false), 0.0);
         assert_eq!(node_coverage(&rt, &[0.into()], &[], false), 0.0);
     }
@@ -198,7 +198,7 @@ mod tests {
     #[should_panic(expected = "edge mask length")]
     fn link_coverage_checks_mask_length() {
         let g = generators::ring(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let nodes: Vec<NodeId> = g.nodes().collect();
         link_coverage(&g, &rt, &nodes, &[true]);
     }

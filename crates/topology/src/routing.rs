@@ -3,27 +3,25 @@
 //! The paper's simulator routes infection packets "using a shortest path
 //! algorithm through the network" and weights each rate-limited link's
 //! budget "proportional to the number of routing table entries the link
-//! occupies". [`RoutingTable`] precomputes all-pairs next hops by running
-//! one BFS per node, and [`RoutingTable::link_loads`] counts, for every
-//! link, how many ordered node pairs route across it.
+//! occupies". [`RoutingBackend::link_loads`] counts, for every link, how
+//! many ordered node pairs route across it.
 //!
-//! Routing is consumed through the [`RoutingBackend`] trait, which the
-//! dense table implements alongside the memory-bounded
-//! [`LazyRouting`](crate::lazy::LazyRouting) backend and the two-level
-//! [`HierRouting`](crate::hier::HierRouting) backend; all produce
-//! bit-identical next hops because each reproduces the same BFS
+//! Routing is consumed through the [`RoutingBackend`] trait, which two
+//! engine backends implement: the two-level
+//! [`HierRouting`](crate::hier::HierRouting) table and the
+//! memory-bounded [`LazyRouting`](crate::lazy::LazyRouting) cache. Both
+//! produce bit-identical next hops because each reproduces the same BFS
 //! (neighbors in adjacency order) rooted at the destination.
 //!
 //! Every backend's BFS runs over the shared [`Csr`] adjacency snapshot
 //! and writes **destination-major** rows (`table[dst * n + src]`): one
 //! BFS fills one contiguous row, so construction streams through memory
-//! instead of scattering stride-`n` writes. Construction fans the
+//! instead of scattering stride-`n` writes. Table construction fans the
 //! per-destination BFS out over the `dynaquar-parallel` pool in
-//! deterministic destination order ([`RoutingTable::shortest_paths_with`]);
-//! [`RoutingTable::shortest_paths_serial`] keeps the original
-//! adjacency-list serial loop as the independent oracle the differential
-//! suite (`tests/routing_oracle.rs`) pins every other construction
-//! against.
+//! deterministic destination order. [`RoutingTable::shortest_paths_serial`]
+//! keeps the original adjacency-list serial loop as the independent
+//! oracle the differential suite (`tests/routing_oracle.rs`) pins every
+//! backend against.
 
 use crate::error::Error;
 use crate::graph::{Csr, EdgeId, Graph, NodeId};
@@ -36,13 +34,13 @@ pub(crate) const NO_HOP: u32 = u32::MAX;
 /// One table cell holding a packed (next hop, distance) pair.
 ///
 /// Two widths exist: [`u32`] packs two `u16` halves (graphs up to 65,535
-/// nodes — every dense table that fits in memory in practice), [`u64`]
+/// nodes — every all-pairs table that fits in memory in practice), [`u64`]
 /// packs two `u32` halves (the general case, used by the lazy backend's
 /// per-destination rows). Packing matters twice over: one store per BFS
 /// discovery instead of two, and half the table bytes, which on the
 /// latency-bound all-pairs build is the difference between ~3 s and
 /// ~13 s at n = 10k.
-pub(crate) trait PackedCell: Copy + Eq + Send + 'static {
+pub(crate) trait PackedCell: Copy + Default + Eq + Send + 'static {
     /// Cell value for a node the BFS never reached (no hop, no distance).
     const UNREACHED: Self;
     /// Cell value for the BFS root (no hop, distance 0).
@@ -128,7 +126,7 @@ pub(crate) const COMPACT_LIMIT: usize = u16::MAX as usize;
 /// in [`Csr`] order (= adjacency order), level-synchronously (frontier
 /// order equals FIFO queue order), parents are assigned on first
 /// discovery — so for a fixed graph the filled row is bit-identical no
-/// matter which backend (dense, lazy, hier core) runs it, at either cell
+/// matter which backend (lazy, hier core) runs it, at either cell
 /// width.
 pub(crate) fn bfs_fill_row<C: PackedCell>(
     csr: &Csr,
@@ -165,58 +163,43 @@ pub(crate) fn bfs_fill_row<C: PackedCell>(
 /// for every destination of `csr`, fanning per-destination BFS over
 /// `pool`.
 ///
-/// Rows are computed in small reused buffers (hot in cache — BFS writes
-/// scattered within a row, which is ruinously slow against cold memory)
-/// and appended to the output in destination order. On a single worker
-/// the rows stream straight into the final allocation; with more workers
-/// each takes a contiguous destination range so `ordered_map`'s
-/// order-preservation makes the concatenation deterministic. The kernel
-/// is pure, so the table is bit-identical for any thread count.
+/// The table is allocated once and each worker fills a contiguous range
+/// of destination rows in place, so a build never holds more than the
+/// one table. Each BFS first writes its whole row, which brings the row
+/// into cache before the scattered discovery writes land in it. The
+/// kernel is pure, so the table is bit-identical for any thread count.
 pub(crate) fn build_dense_cells<C: PackedCell>(csr: &Csr, pool: &ParallelConfig) -> Vec<C> {
     let n = csr.node_count();
-    const BATCH: usize = 8;
-    if pool.threads() <= 1 {
-        let mut out: Vec<C> = Vec::with_capacity(n * n);
-        fill_range_cells(csr, 0, n, &mut out);
+    // Zero-filled, so a fresh allocation maps untouched pages; every
+    // row is overwritten by its BFS.
+    let mut out = vec![C::default(); n * n];
+    if n == 0 {
         return out;
     }
     // One contiguous destination range per work item, sized so every
     // worker gets several items to balance on.
-    let ranges: Vec<(usize, usize)> = {
-        let span = n.div_ceil(pool.threads() * 4).max(BATCH);
-        (0..n)
-            .step_by(span)
-            .map(|lo| (lo, (lo + span).min(n)))
-            .collect()
+    let span = if pool.threads() <= 1 {
+        n
+    } else {
+        n.div_ceil(pool.threads() * 4).max(8)
     };
-    let chunks = ordered_map(pool, ranges, |_, (lo, hi)| {
-        let mut out: Vec<C> = Vec::with_capacity((hi - lo) * n);
-        fill_range_cells(csr, lo, hi, &mut out);
-        out
-    });
-    let mut out: Vec<C> = Vec::with_capacity(n * n);
-    for chunk in chunks {
-        out.extend_from_slice(&chunk);
-    }
-    out
-}
-
-/// Appends packed rows for destinations `lo..hi` to `out`, running each
-/// BFS in a small reused batch buffer.
-fn fill_range_cells<C: PackedCell>(csr: &Csr, lo: usize, hi: usize, out: &mut Vec<C>) {
-    let n = csr.node_count();
-    const BATCH: usize = 8;
-    let mut buf = vec![C::UNREACHED; BATCH * n];
-    let (mut cur, mut next) = (Vec::new(), Vec::new());
-    let mut b_lo = lo;
-    while b_lo < hi {
-        let b_hi = (b_lo + BATCH).min(hi);
-        for (i, dst) in (b_lo..b_hi).enumerate() {
-            bfs_fill_row(csr, dst as u32, &mut buf[i * n..(i + 1) * n], &mut cur, &mut next);
+    let ranges: Vec<(usize, &mut [C])> = out
+        .chunks_mut(span * n)
+        .enumerate()
+        .map(|(i, rows)| (i * span, rows))
+        .collect();
+    ordered_map(pool, ranges, |_, (lo, rows)| {
+        // Frontiers sized for the widest level up front. Growing them
+        // by small reallocations placed after the table lets a later
+        // allocation split the table's chunk once it is freed, and the
+        // next build then grows the heap while the old pages stay
+        // resident (a 1-thread rebuild loop read 2× the table's RSS).
+        let (mut cur, mut next) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (i, row) in rows.chunks_mut(n).enumerate() {
+            bfs_fill_row(csr, (lo + i) as u32, row, &mut cur, &mut next);
         }
-        out.extend_from_slice(&buf[..(b_hi - b_lo) * n]);
-        b_lo = b_hi;
-    }
+    });
+    out
 }
 
 /// A shortest-path routing oracle over a fixed graph.
@@ -224,8 +207,9 @@ fn fill_range_cells<C: PackedCell>(csr: &Csr, lo: usize, hi: usize, out: &mut Ve
 /// Implementations must answer next-hop and distance queries for every
 /// ordered node pair, and must agree with a BFS rooted at the
 /// destination that visits neighbors in adjacency order — the contract
-/// that makes every backend bit-identical to [`RoutingTable`] (the
-/// differential suite in `tests/routing_equivalence.rs` enforces it).
+/// that makes every backend bit-identical to the [`RoutingTable`]
+/// oracle (the differential suite in `tests/routing_oracle.rs`
+/// enforces it).
 ///
 /// The derived walks ([`path`](RoutingBackend::try_path),
 /// [`link_loads`](RoutingBackend::link_loads),
@@ -252,7 +236,7 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     /// Returns [`Error::NodeOutOfRange`] when either node does not exist.
     fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error>;
 
-    /// A short static label for reports and benchmarks ("dense", "lazy").
+    /// A short static label for reports and benchmarks ("hier", "lazy").
     fn backend_name(&self) -> &'static str;
 
     /// Panicking variant of [`RoutingBackend::try_next_hop`].
@@ -409,56 +393,23 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     }
 }
 
-impl RoutingBackend for RoutingTable {
-    fn node_count(&self) -> usize {
-        RoutingTable::node_count(self)
-    }
-
-    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
-        RoutingTable::try_next_hop(self, src, dst)
-    }
-
-    fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {
-        RoutingTable::try_distance(self, src, dst)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "dense"
-    }
-
-    // Route the dyn-dispatched derived queries to the dense inherent
-    // implementations, which read the precomputed arrays directly.
-    fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        RoutingTable::next_hop(self, src, dst)
-    }
-
-    fn distance(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        RoutingTable::distance(self, src, dst)
-    }
-
-    fn link_loads(&self, graph: &Graph) -> Vec<u64> {
-        RoutingTable::link_loads(self, graph)
-    }
-
-    fn average_path_length(&self) -> f64 {
-        RoutingTable::average_path_length(self)
-    }
-
-    fn diameter(&self) -> Option<u32> {
-        RoutingTable::diameter(self)
-    }
-}
-
-/// All-pairs next-hop routing table.
+/// The serial all-pairs routing oracle.
+///
+/// Not an engine backend: worlds route through
+/// [`HierRouting`](crate::hier::HierRouting) or
+/// [`LazyRouting`](crate::lazy::LazyRouting). This table is the
+/// independent reference the differential suite
+/// (`tests/routing_oracle.rs`) pins both against, so it shares none of
+/// their machinery beyond the packed cell format.
 ///
 /// # Example
 ///
 /// ```
 /// use dynaquar_topology::generators;
-/// use dynaquar_topology::routing::RoutingTable;
+/// use dynaquar_topology::routing::{RoutingBackend, RoutingTable};
 ///
 /// let star = generators::star(4).expect("valid");
-/// let rt = RoutingTable::shortest_paths(&star.graph);
+/// let rt = RoutingTable::shortest_paths_serial(&star.graph);
 /// // Leaf-to-leaf routes go through the hub.
 /// let path = rt.path(1.into(), 2.into()).expect("connected");
 /// assert_eq!(path, vec![1.into(), 0.into(), 2.into()]);
@@ -467,14 +418,13 @@ impl RoutingBackend for RoutingTable {
 pub struct RoutingTable {
     n: usize,
     /// Packed `(next_hop, distance)` cells, destination-major:
-    /// `cells[dst * n + src]`. One BFS fills one contiguous row.
-    cells: Cells,
+    /// `cells[dst * n + src]`.
+    cells: Vec<u64>,
 }
 
-/// Table storage at one of two cell widths (see [`PackedCell`]).
-///
-/// Shared by the dense table and the hier backend's core table; the
-/// width is picked from the covered node count at build time.
+/// Table storage at one of two cell widths (see [`PackedCell`]): the
+/// hier backend's core table, with the width picked from the covered
+/// node count at build time.
 #[derive(Debug, Clone)]
 pub(crate) enum Cells {
     /// `u16` halves — graphs up to [`COMPACT_LIMIT`] nodes.
@@ -507,28 +457,7 @@ impl Cells {
 }
 
 impl RoutingTable {
-    /// Computes shortest-path routing for `graph` (one BFS per node),
-    /// fanning the per-destination BFS over the pool sized by
-    /// `DYNAQUAR_THREADS` / available parallelism.
-    ///
-    /// BFS visits neighbors in adjacency order and destinations are
-    /// assembled in order, so for a given graph the table is
-    /// deterministic and bit-identical to
-    /// [`RoutingTable::shortest_paths_serial`] at any thread count.
-    pub fn shortest_paths(graph: &Graph) -> Self {
-        Self::shortest_paths_with(graph, &ParallelConfig::from_env())
-    }
-
-    /// [`RoutingTable::shortest_paths`] with an explicit pool size.
-    pub fn shortest_paths_with(graph: &Graph, pool: &ParallelConfig) -> Self {
-        let csr = Csr::from_graph(graph);
-        let n = csr.node_count();
-        let cells = Cells::build(&csr, pool);
-        RoutingTable { n, cells }
-    }
-
-    /// The original serial adjacency-list construction, kept as the
-    /// independent oracle for the differential routing suite: one
+    /// The original serial adjacency-list construction: one
     /// queue-driven BFS per destination over [`Graph::neighbors`], no
     /// CSR snapshot, no pool, no packing tricks (the plain `next_hop` /
     /// `distance` arrays are zipped into cells only after the BFS
@@ -569,25 +498,11 @@ impl RoutingTable {
                 }
             })
             .collect();
-        RoutingTable {
-            n,
-            cells: Cells::Wide(cells),
-        }
+        RoutingTable { n, cells }
     }
 
-    /// The packed cell at `(src, dst)`, width-erased.
-    #[inline]
-    fn cell(&self, src: usize, dst: usize) -> (u32, u32) {
-        self.cells.hop_dist(dst * self.n + src)
-    }
-
-    /// Number of nodes the table covers.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Validates that both endpoints exist in the table.
-    fn check_nodes(&self, src: NodeId, dst: NodeId) -> Result<(), Error> {
+    /// The packed cell at `(src, dst)` after validating both endpoints.
+    fn cell(&self, src: NodeId, dst: NodeId) -> Result<u64, Error> {
         for node in [src, dst] {
             if node.index() >= self.n {
                 return Err(Error::NodeOutOfRange {
@@ -596,191 +511,27 @@ impl RoutingTable {
                 });
             }
         }
-        Ok(())
+        Ok(self.cells[dst.index() * self.n + src.index()])
+    }
+}
+
+impl RoutingBackend for RoutingTable {
+    fn node_count(&self) -> usize {
+        self.n
     }
 
-    /// The first hop from `src` toward `dst`, or `None` when unreachable
-    /// or `src == dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range; see
-    /// [`RoutingTable::try_next_hop`] for a typed error instead.
-    pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        match self.try_next_hop(src, dst) {
-            Ok(hop) => hop,
-            Err(e) => panic!("node out of range: {e}"),
-        }
+    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
+        let hop = self.cell(src, dst)?.hop();
+        Ok((src != dst && hop != NO_HOP).then(|| NodeId::new(hop)))
     }
 
-    /// Fallible variant of [`RoutingTable::next_hop`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeOutOfRange`] when either node does not exist
-    /// in the table.
-    pub fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
-        self.check_nodes(src, dst)?;
-        if src == dst {
-            return Ok(None);
-        }
-        let (hop, _) = self.cell(src.index(), dst.index());
-        Ok((hop != NO_HOP).then(|| NodeId::new(hop)))
-    }
-
-    /// Hop distance from `src` to `dst` (`None` when unreachable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range; see
-    /// [`RoutingTable::try_distance`] for a typed error instead.
-    pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        match self.try_distance(src, dst) {
-            Ok(d) => d,
-            Err(e) => panic!("node out of range: {e}"),
-        }
-    }
-
-    /// Fallible variant of [`RoutingTable::distance`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeOutOfRange`] when either node does not exist
-    /// in the table.
-    pub fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {
-        self.check_nodes(src, dst)?;
-        let (_, d) = self.cell(src.index(), dst.index());
+    fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {
+        let d = self.cell(src, dst)?.dist();
         Ok((d != u32::MAX).then_some(d))
     }
 
-    /// The full path from `src` to `dst`, inclusive of both endpoints.
-    ///
-    /// Returns `None` when unreachable; `Some(vec![src])` when
-    /// `src == dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range; see
-    /// [`RoutingTable::try_path`] for a typed error instead.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        match self.try_path(src, dst) {
-            Ok(p) => p,
-            Err(e) => panic!("node out of range: {e}"),
-        }
-    }
-
-    /// Fallible variant of [`RoutingTable::path`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NodeOutOfRange`] when either node does not exist
-    /// in the table.
-    pub fn try_path(&self, src: NodeId, dst: NodeId) -> Result<Option<Vec<NodeId>>, Error> {
-        self.check_nodes(src, dst)?;
-        if src == dst {
-            return Ok(Some(vec![src]));
-        }
-        if self.try_distance(src, dst)?.is_none() {
-            return Ok(None);
-        }
-        let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            cur = self
-                .try_next_hop(cur, dst)?
-                .expect("invariant: finite distance implies a next hop");
-            path.push(cur);
-        }
-        Ok(Some(path))
-    }
-
-    /// Counts, for each edge, how many *ordered* node pairs route across
-    /// it — the paper's "routing table entries" link weight.
-    ///
-    /// Cost is `O(n² · diameter)`; at the paper's 1,000-node scale this
-    /// is a few million pointer chases.
-    pub fn link_loads(&self, graph: &Graph) -> Vec<u64> {
-        let mut loads = vec![0u64; graph.edge_count()];
-        for dst in 0..self.n {
-            for src in 0..self.n {
-                if src == dst {
-                    continue;
-                }
-                let (s, d) = (NodeId::from(src), NodeId::from(dst));
-                if self.distance(s, d).is_none() {
-                    continue;
-                }
-                let mut cur = s;
-                while cur != d {
-                    let nxt = self.next_hop(cur, d).expect("finite distance");
-                    let edge = graph
-                        .edge_between(cur, nxt)
-                        .expect("next hop is a neighbor");
-                    loads[edge.index()] += 1;
-                    cur = nxt;
-                }
-            }
-        }
-        loads
-    }
-
-    /// Average shortest-path length over all reachable ordered pairs.
-    pub fn average_path_length(&self) -> f64 {
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for dst in 0..self.n {
-            for src in 0..self.n {
-                if src == dst {
-                    continue;
-                }
-                let (_, d) = self.cell(src, dst);
-                if d != u32::MAX {
-                    total += u64::from(d);
-                    pairs += 1;
-                }
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        }
-    }
-
-    /// The network diameter: the longest finite shortest-path distance
-    /// over all ordered pairs (`None` for graphs with < 2 nodes or no
-    /// reachable pairs).
-    pub fn diameter(&self) -> Option<u32> {
-        let mut max: Option<u32> = None;
-        for dst in 0..self.n {
-            for src in 0..self.n {
-                if src == dst {
-                    continue;
-                }
-                let (_, d) = self.cell(src, dst);
-                if d != u32::MAX {
-                    max = Some(max.map_or(d, |m| m.max(d)));
-                }
-            }
-        }
-        max
-    }
-
-    /// The edges along the route from `src` to `dst`.
-    ///
-    /// Returns an empty vector when `src == dst` or unreachable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn path_edges(&self, graph: &Graph, src: NodeId, dst: NodeId) -> Vec<EdgeId> {
-        match self.path(src, dst) {
-            None => Vec::new(),
-            Some(p) => p
-                .windows(2)
-                .map(|w| graph.edge_between(w[0], w[1]).expect("consecutive hops"))
-                .collect(),
-        }
+    fn backend_name(&self) -> &'static str {
+        "oracle"
     }
 }
 
@@ -788,11 +539,12 @@ impl RoutingTable {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::hier::HierRouting;
 
     #[test]
     fn star_routes_through_hub() {
         let star = generators::star(5).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
+        let rt = RoutingTable::shortest_paths_serial(&star.graph);
         assert_eq!(rt.distance(1.into(), 2.into()), Some(2));
         assert_eq!(rt.distance(0.into(), 3.into()), Some(1));
         assert_eq!(
@@ -804,7 +556,7 @@ mod tests {
     #[test]
     fn self_route_is_trivial() {
         let g = generators::ring(5).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         assert_eq!(rt.distance(2.into(), 2.into()), Some(0));
         assert_eq!(rt.next_hop(2.into(), 2.into()), None);
         assert_eq!(rt.path(2.into(), 2.into()).unwrap(), vec![2.into()]);
@@ -815,7 +567,7 @@ mod tests {
         let mut g = crate::Graph::with_nodes(4);
         g.add_edge(0.into(), 1.into()).unwrap();
         g.add_edge(2.into(), 3.into()).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         assert_eq!(rt.distance(0.into(), 2.into()), None);
         assert!(rt.path(0.into(), 2.into()).is_none());
         assert!(rt.next_hop(0.into(), 3.into()).is_none());
@@ -824,7 +576,7 @@ mod tests {
     #[test]
     fn ring_distances() {
         let g = generators::ring(6).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         assert_eq!(rt.distance(0.into(), 3.into()), Some(3));
         assert_eq!(rt.distance(0.into(), 5.into()), Some(1));
     }
@@ -832,7 +584,7 @@ mod tests {
     #[test]
     fn paths_are_shortest() {
         let g = generators::barabasi_albert(200, 2, 5).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         for &(s, d) in &[(0usize, 150usize), (10, 42), (199, 3)] {
             let p = rt.path(s.into(), d.into()).unwrap();
             assert_eq!(p.len() as u32 - 1, rt.distance(s.into(), d.into()).unwrap());
@@ -846,7 +598,7 @@ mod tests {
     #[test]
     fn star_link_loads_are_uniform() {
         let star = generators::star(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
+        let rt = RoutingTable::shortest_paths_serial(&star.graph);
         let loads = rt.link_loads(&star.graph);
         // Each leaf link carries: hub<->leaf (2 ordered pairs) plus
         // leaf<->each other leaf (2 * 3 ordered pairs) = 8.
@@ -861,7 +613,7 @@ mod tests {
             .hosts_per_subnet(5)
             .build()
             .unwrap();
-        let rt = RoutingTable::shortest_paths(&t.graph);
+        let rt = RoutingTable::shortest_paths_serial(&t.graph);
         let loads = rt.link_loads(&t.graph);
         // The edge-router uplinks must beat any host access link.
         let uplink = t
@@ -879,14 +631,14 @@ mod tests {
     #[test]
     fn average_path_length_of_mesh_is_one() {
         let g = generators::full_mesh(6).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         assert!((rt.average_path_length() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn path_edges_match_path() {
         let g = generators::ring(8).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         let edges = rt.path_edges(&g, 0.into(), 3.into());
         assert_eq!(edges.len(), 3);
         assert!(rt.path_edges(&g, 2.into(), 2.into()).is_empty());
@@ -895,20 +647,29 @@ mod tests {
     #[test]
     fn diameter_of_standard_graphs() {
         let star = generators::star(6).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
+        let rt = RoutingTable::shortest_paths_serial(&star.graph);
         assert_eq!(rt.diameter(), Some(2));
         let ring = generators::ring(8).unwrap();
-        assert_eq!(RoutingTable::shortest_paths(&ring).diameter(), Some(4));
+        assert_eq!(
+            RoutingTable::shortest_paths_serial(&ring).diameter(),
+            Some(4)
+        );
         let mesh = generators::full_mesh(5).unwrap();
-        assert_eq!(RoutingTable::shortest_paths(&mesh).diameter(), Some(1));
+        assert_eq!(
+            RoutingTable::shortest_paths_serial(&mesh).diameter(),
+            Some(1)
+        );
         let lonely = crate::Graph::with_nodes(1);
-        assert_eq!(RoutingTable::shortest_paths(&lonely).diameter(), None);
+        assert_eq!(
+            RoutingTable::shortest_paths_serial(&lonely).diameter(),
+            None
+        );
     }
 
     #[test]
     fn power_law_graphs_have_small_diameter() {
         let g = generators::barabasi_albert(500, 2, 11).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         let d = rt.diameter().unwrap();
         // Small-world: diameter grows ~log n.
         assert!(d <= 12, "diameter {d}");
@@ -918,7 +679,7 @@ mod tests {
     #[test]
     fn try_accessors_return_typed_errors() {
         let g = generators::ring(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         let bad = NodeId::new(99);
         assert_eq!(
             rt.try_next_hop(bad, 0.into()),
@@ -939,34 +700,36 @@ mod tests {
     #[should_panic(expected = "node out of range")]
     fn panicking_accessor_keeps_its_message() {
         let g = generators::ring(3).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = RoutingTable::shortest_paths_serial(&g);
         rt.distance(NodeId::new(50), 0.into());
     }
 
-    /// Asserts two tables agree cell-for-cell through the public
-    /// accessors (the representations may differ in width).
-    fn assert_tables_agree(a: &RoutingTable, b: &RoutingTable, ctx: &str) {
-        assert_eq!(a.node_count(), b.node_count(), "{ctx}: node count");
+    /// Asserts a backend agrees with the oracle cell-for-cell through the
+    /// public accessors.
+    fn assert_agrees_with_oracle(a: &dyn RoutingBackend, oracle: &RoutingTable, ctx: &str) {
+        assert_eq!(a.node_count(), oracle.node_count(), "{ctx}: node count");
         let n = a.node_count();
         for dst in 0..n {
             for src in 0..n {
                 let (s, d) = (NodeId::from(src), NodeId::from(dst));
-                assert_eq!(a.next_hop(s, d), b.next_hop(s, d), "{ctx}: hop {src}->{dst}");
-                assert_eq!(a.distance(s, d), b.distance(s, d), "{ctx}: dist {src}->{dst}");
+                assert_eq!(
+                    a.next_hop(s, d),
+                    oracle.next_hop(s, d),
+                    "{ctx}: hop {src}->{dst}"
+                );
+                assert_eq!(
+                    a.distance(s, d),
+                    oracle.distance(s, d),
+                    "{ctx}: dist {src}->{dst}"
+                );
             }
         }
     }
 
     #[test]
-    fn deterministic_tables() {
-        let g = generators::barabasi_albert(100, 2, 9).unwrap();
-        let a = RoutingTable::shortest_paths(&g);
-        let b = RoutingTable::shortest_paths(&g);
-        assert_tables_agree(&a, &b, "repeated build");
-    }
-
-    #[test]
     fn parallel_build_is_bit_identical_to_serial_oracle() {
+        // A BA graph peels nothing, so hier's core table covers all of
+        // it: this is the table build's thread-count invariance check.
         for (g, name) in [
             (generators::barabasi_albert(120, 2, 7).unwrap(), "ba"),
             (generators::star(30).unwrap().graph, "star"),
@@ -983,15 +746,15 @@ mod tests {
         ] {
             let oracle = RoutingTable::shortest_paths_serial(&g);
             for threads in [1usize, 3, 8] {
-                let built = RoutingTable::shortest_paths_with(&g, &ParallelConfig::new(threads));
-                assert_tables_agree(&built, &oracle, &format!("{name} @ {threads} threads"));
+                let built = HierRouting::new_with(&g, &ParallelConfig::new(threads));
+                assert_agrees_with_oracle(&built, &oracle, &format!("{name} @ {threads} threads"));
             }
         }
     }
 
     #[test]
     fn empty_graph_builds_an_empty_table() {
-        let rt = RoutingTable::shortest_paths(&crate::Graph::new());
+        let rt = RoutingTable::shortest_paths_serial(&crate::Graph::new());
         assert_eq!(rt.node_count(), 0);
         assert_eq!(rt.diameter(), None);
     }

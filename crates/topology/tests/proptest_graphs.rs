@@ -4,8 +4,8 @@ use dynaquar_topology::generators;
 use dynaquar_topology::generators_extra::{glp, waxman};
 use dynaquar_topology::paths::node_coverage;
 use dynaquar_topology::roles::{assign_by_degree, nodes_with_role, Role};
-use dynaquar_topology::routing::RoutingTable;
 use dynaquar_topology::NodeId;
+use dynaquar_topology::{HierRouting, RoutingBackend};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,7 +15,7 @@ proptest! {
     #[test]
     fn distances_are_symmetric(seed in 0u64..300) {
         let g = generators::barabasi_albert(50, 2, seed).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         for a in 0..50usize {
             for b in (a + 1)..50 {
                 prop_assert_eq!(
@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn triangle_inequality(seed in 0u64..100) {
         let g = generators::barabasi_albert(40, 2, seed).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let d = |a: usize, b: usize| rt.distance(a.into(), b.into()).unwrap();
         for (a, b, c) in [(0usize, 10usize, 20usize), (5, 15, 35), (1, 2, 39)] {
             prop_assert!(d(a, c) <= d(a, b) + d(b, c));
@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn link_loads_account_for_all_hops(seed in 0u64..100) {
         let g = generators::barabasi_albert(30, 2, seed).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let loads = rt.link_loads(&g);
         let total_load: u64 = loads.iter().sum();
         let mut total_hops = 0u64;
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn coverage_bounds(seed in 0u64..100, backbone_frac in 0.01..0.3f64) {
         let g = generators::barabasi_albert(60, 2, seed).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         let roles = assign_by_degree(&g, backbone_frac, 0.1);
         let hosts = nodes_with_role(&roles, Role::EndHost);
         let filters = nodes_with_role(&roles, Role::Backbone);

@@ -1,15 +1,14 @@
 //! The differential routing-oracle suite.
 //!
 //! Every routing backend in the crate must return **bit-identical**
-//! next hops, distances, and paths to the original serial dense
+//! next hops, distances, and paths to the original serial all-pairs
 //! construction ([`RoutingTable::shortest_paths_serial`]) — the oracle
 //! no optimization is allowed to touch. Under test here:
 //!
-//! * the parallel-built dense table, at 1 and 3 workers (packed cells,
-//!   batched CSR kernel),
+//! * the two-level [`HierRouting`] composition, its core table built at
+//!   1 and 3 workers (packed cells, batched CSR kernel), and
 //! * [`LazyRouting`] with a deliberately undersized cache (both the
-//!   single-shard and sharded configurations), and
-//! * the two-level [`HierRouting`] composition.
+//!   single-shard and sharded configurations).
 //!
 //! Agreement is exact — the same parent, not merely *a* shortest-path
 //! parent — because every construction reproduces the same BFS
@@ -19,9 +18,6 @@
 //! subnet worlds, and disconnected multi-component graphs, over every
 //! ordered `(src, dst)` pair on small worlds and a deterministic pair
 //! sample on large ones.
-//!
-//! This suite supersedes the pairwise dense-vs-lazy checks that lived
-//! in `routing_equivalence.rs` before the hier backend existed.
 
 use dynaquar_parallel::ParallelConfig;
 use dynaquar_topology::generators::{self, SubnetTopologyBuilder};
@@ -43,12 +39,12 @@ fn backends_under_test(g: &Graph) -> Vec<(&'static str, Box<dyn RoutingBackend>)
     let n = g.node_count();
     vec![
         (
-            "dense@1",
-            Box::new(RoutingTable::shortest_paths_with(g, &ParallelConfig::new(1))),
+            "hier@1",
+            Box::new(HierRouting::new_with(g, &ParallelConfig::new(1))),
         ),
         (
-            "dense@3",
-            Box::new(RoutingTable::shortest_paths_with(g, &ParallelConfig::new(3))),
+            "hier@3",
+            Box::new(HierRouting::new_with(g, &ParallelConfig::new(3))),
         ),
         (
             "lazy-small",
@@ -58,7 +54,6 @@ fn backends_under_test(g: &Graph) -> Vec<(&'static str, Box<dyn RoutingBackend>)
             "lazy-sharded",
             Box::new(LazyRouting::new(g, SHARD_THRESHOLD)),
         ),
-        ("hier", Box::new(HierRouting::new(g))),
     ]
 }
 
@@ -223,8 +218,8 @@ proptest! {
     ) {
         let g = two_component_graph(n_a, n_b, seed);
         assert_all_pairs_agree(&g);
-        // Spot-check the cross-component contract explicitly on the
-        // two non-dense backends.
+        // Spot-check the cross-component contract explicitly on both
+        // backends.
         let (a0, b0) = (NodeId::new(0), NodeId::new(n_a as u32));
         let lazy = LazyRouting::new(&g, 4);
         prop_assert_eq!(lazy.try_next_hop(a0, b0).unwrap(), None);
@@ -236,8 +231,7 @@ proptest! {
 }
 
 /// A production-shaped hierarchical world (n = 2048: 8 backbone, 40
-/// subnets × 50 hosts) swept on sampled pairs — the scale where the
-/// hier backend actually replaces dense/lazy in `RoutingKind::Auto`.
+/// subnets × 50 hosts) swept on sampled pairs.
 #[test]
 fn large_subnet_world_matches_oracle_on_sampled_pairs() {
     let topo = SubnetTopologyBuilder::new()

@@ -1,17 +1,13 @@
 //! Property tests for the deterministic parallel runner: thread count
-//! must never leak into results — and neither must the stepping
-//! strategy, nor the intra-world shard count.
+//! must never leak into results — and neither must the intra-world
+//! shard count.
 //!
 //! The contract under test (see `dynaquar_netsim::runner`): because each
 //! seeded run derives all of its randomness from its own seed and results
 //! are collected in seed order, `run_averaged` / `run_supervised` /
 //! `infected_envelope` are **bit-identical** for worker pools of 1, 2,
 //! and 8 threads — under fault-free runs, under a non-empty `FaultPlan`,
-//! and with panicking runs retried/dropped by the supervisor. Every
-//! ensemble is additionally swept across the tick and event stepping
-//! strategies against one serial tick baseline, so the matrix is
-//! (threads × strategy) and any divergence between the engines shows up
-//! as an ensemble mismatch here too.
+//! and with panicking runs retried/dropped by the supervisor.
 
 use dynaquar::netsim::config::{
     ImmunizationConfig, ImmunizationTrigger, QuarantineConfig, SimConfig, WormBehavior,
@@ -24,14 +20,11 @@ use dynaquar::netsim::runner::{
     SupervisorConfig,
 };
 use dynaquar::netsim::sim::SimResult;
-use dynaquar::netsim::strategy::SimStrategy;
 use dynaquar::netsim::{ShardSpec, Simulator, Snapshot, World};
 use dynaquar::topology::generators;
-use dynaquar::topology::lazy::RoutingKind;
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const STRATEGIES: [SimStrategy; 2] = [SimStrategy::Tick, SimStrategy::Event];
 /// Shard counts swept by the intra-world tests: serial, even splits,
 /// and a ragged count that cannot divide the subnet blocks evenly.
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 7];
@@ -40,13 +33,12 @@ fn world() -> World {
     World::from_star(generators::star(49).expect("valid star"))
 }
 
-fn config(faults: FaultPlan, strategy: SimStrategy) -> SimConfig {
+fn config(faults: FaultPlan) -> SimConfig {
     SimConfig::builder()
         .beta(0.8)
         .horizon(50)
         .initial_infected(1)
         .faults(faults)
-        .strategy(strategy)
         .build()
         .expect("valid config")
 }
@@ -60,26 +52,20 @@ proptest! {
     fn run_averaged_is_thread_count_invariant(base_seed in 0u64..1000) {
         let w = world();
         let seeds: Vec<u64> = (0..5).map(|k| base_seed + k).collect();
+        let cfg = config(FaultPlan::none());
         let serial = run_averaged_parallel(
-            &w,
-            &config(FaultPlan::none(), SimStrategy::Tick),
-            WormBehavior::random(),
-            &seeds,
-            &ParallelConfig::serial(),
+            &w, &cfg, WormBehavior::random(), &seeds, &ParallelConfig::serial(),
         );
-        for strategy in STRATEGIES {
-            let cfg = config(FaultPlan::none(), strategy);
-            for threads in THREAD_COUNTS {
-                let pooled = run_averaged_parallel(
-                    &w, &cfg, WormBehavior::random(), &seeds, &ParallelConfig::new(threads),
-                );
-                prop_assert_eq!(&serial.infected_fraction, &pooled.infected_fraction);
-                prop_assert_eq!(&serial.ever_infected_fraction, &pooled.ever_infected_fraction);
-                prop_assert_eq!(&serial.immunized_fraction, &pooled.immunized_fraction);
-                prop_assert_eq!(&serial.runs, &pooled.runs);
-                prop_assert_eq!(&serial.outcomes, &pooled.outcomes);
-                prop_assert_eq!(serial.infected_envelope(), pooled.infected_envelope());
-            }
+        for threads in THREAD_COUNTS {
+            let pooled = run_averaged_parallel(
+                &w, &cfg, WormBehavior::random(), &seeds, &ParallelConfig::new(threads),
+            );
+            prop_assert_eq!(&serial.infected_fraction, &pooled.infected_fraction);
+            prop_assert_eq!(&serial.ever_infected_fraction, &pooled.ever_infected_fraction);
+            prop_assert_eq!(&serial.immunized_fraction, &pooled.immunized_fraction);
+            prop_assert_eq!(&serial.runs, &pooled.runs);
+            prop_assert_eq!(&serial.outcomes, &pooled.outcomes);
+            prop_assert_eq!(serial.infected_envelope(), pooled.infected_envelope());
         }
     }
 
@@ -95,26 +81,17 @@ proptest! {
             .with_false_positives(4, (5, 30))
             .with_quarantine_jitter(5);
         let seeds: Vec<u64> = (0..5).map(|k| base_seed + k).collect();
+        let cfg = config(faults);
         let serial = run_averaged_parallel(
-            &w,
-            &config(faults.clone(), SimStrategy::Tick),
-            WormBehavior::random(),
-            &seeds,
-            &ParallelConfig::serial(),
+            &w, &cfg, WormBehavior::random(), &seeds, &ParallelConfig::serial(),
         );
-        for strategy in STRATEGIES {
-            let cfg = config(faults.clone(), strategy);
-            for threads in THREAD_COUNTS {
-                let pooled = run_averaged_parallel(
-                    &w, &cfg, WormBehavior::random(), &seeds, &ParallelConfig::new(threads),
-                );
-                prop_assert_eq!(
-                    &serial.runs, &pooled.runs,
-                    "threads = {} strategy = {}", threads, strategy
-                );
-                prop_assert_eq!(&serial.outcomes, &pooled.outcomes);
-                prop_assert_eq!(serial.infected_envelope(), pooled.infected_envelope());
-            }
+        for threads in THREAD_COUNTS {
+            let pooled = run_averaged_parallel(
+                &w, &cfg, WormBehavior::random(), &seeds, &ParallelConfig::new(threads),
+            );
+            prop_assert_eq!(&serial.runs, &pooled.runs, "threads = {}", threads);
+            prop_assert_eq!(&serial.outcomes, &pooled.outcomes);
+            prop_assert_eq!(serial.infected_envelope(), pooled.infected_envelope());
         }
     }
 
@@ -129,36 +106,24 @@ proptest! {
     ) {
         let w = world();
         let seeds: Vec<u64> = (0..6).map(|k| base_seed + k).collect();
-        let serial_cfg = config(FaultPlan::none(), SimStrategy::Tick);
-        let serial_run = |a: RunAttempt| {
+        let cfg = config(FaultPlan::none());
+        let run = |a: RunAttempt| {
             if a.attempt == 1 && a.seed.is_multiple_of(panic_mod) {
                 panic!("injected: seed {} fails its first attempt", a.seed);
             }
-            Simulator::new(&w, &serial_cfg, WormBehavior::random(), a.run_seed).run()
+            Simulator::new(&w, &cfg, WormBehavior::random(), a.run_seed).run()
         };
         let serial = run_supervised_with_parallel(
-            &seeds, &SupervisorConfig::default(), &ParallelConfig::serial(), serial_run,
+            &seeds, &SupervisorConfig::default(), &ParallelConfig::serial(), run,
         ).expect("retries always succeed");
-        for strategy in STRATEGIES {
-            let cfg = config(FaultPlan::none(), strategy);
-            let run = |a: RunAttempt| {
-                if a.attempt == 1 && a.seed.is_multiple_of(panic_mod) {
-                    panic!("injected: seed {} fails its first attempt", a.seed);
-                }
-                Simulator::new(&w, &cfg, WormBehavior::random(), a.run_seed).run()
-            };
-            for threads in THREAD_COUNTS {
-                let pooled = run_supervised_with_parallel(
-                    &seeds, &SupervisorConfig::default(), &ParallelConfig::new(threads), run,
-                ).expect("retries always succeed");
-                prop_assert_eq!(
-                    &serial.runs, &pooled.runs,
-                    "threads = {} strategy = {}", threads, strategy
-                );
-                prop_assert_eq!(&serial.outcomes, &pooled.outcomes);
-                prop_assert_eq!(&serial.infected_fraction, &pooled.infected_fraction);
-                prop_assert_eq!(serial.infected_envelope(), pooled.infected_envelope());
-            }
+        for threads in THREAD_COUNTS {
+            let pooled = run_supervised_with_parallel(
+                &seeds, &SupervisorConfig::default(), &ParallelConfig::new(threads), run,
+            ).expect("retries always succeed");
+            prop_assert_eq!(&serial.runs, &pooled.runs, "threads = {}", threads);
+            prop_assert_eq!(&serial.outcomes, &pooled.outcomes);
+            prop_assert_eq!(&serial.infected_fraction, &pooled.infected_fraction);
+            prop_assert_eq!(serial.infected_envelope(), pooled.infected_envelope());
         }
     }
 }
@@ -169,43 +134,31 @@ proptest! {
 fn dropped_runs_are_thread_count_invariant() {
     let w = world();
     let seeds: Vec<u64> = (0..6).collect();
-    let mut baseline = None;
-    for strategy in STRATEGIES {
-        let cfg = config(FaultPlan::none(), strategy);
-        let run = |a: RunAttempt| {
-            if a.seed == 2 || a.seed == 4 {
-                panic!("injected: seed {} always fails", a.seed);
-            }
-            Simulator::new(&w, &cfg, WormBehavior::random(), a.run_seed).run()
-        };
-        let serial = run_supervised_with_parallel(
+    let cfg = config(FaultPlan::none());
+    let run = |a: RunAttempt| {
+        if a.seed == 2 || a.seed == 4 {
+            panic!("injected: seed {} always fails", a.seed);
+        }
+        Simulator::new(&w, &cfg, WormBehavior::random(), a.run_seed).run()
+    };
+    let serial = run_supervised_with_parallel(
+        &seeds,
+        &SupervisorConfig::default(),
+        &ParallelConfig::serial(),
+        run,
+    )
+    .expect("four survivors");
+    assert_eq!(serial.dropped_runs(), 2);
+    for threads in THREAD_COUNTS {
+        let pooled = run_supervised_with_parallel(
             &seeds,
             &SupervisorConfig::default(),
-            &ParallelConfig::serial(),
+            &ParallelConfig::new(threads),
             run,
         )
         .expect("four survivors");
-        assert_eq!(serial.dropped_runs(), 2);
-        for threads in THREAD_COUNTS {
-            let pooled = run_supervised_with_parallel(
-                &seeds,
-                &SupervisorConfig::default(),
-                &ParallelConfig::new(threads),
-                run,
-            )
-            .expect("four survivors");
-            assert_eq!(serial.runs, pooled.runs, "threads = {threads} strategy = {strategy}");
-            assert_eq!(serial.outcomes, pooled.outcomes);
-        }
-        // Both strategies drop the same seeds and keep the same
-        // survivors — the ensemble is strategy-invariant too.
-        match &baseline {
-            None => baseline = Some(serial),
-            Some(b) => {
-                assert_eq!(b.runs, serial.runs, "strategy = {strategy}");
-                assert_eq!(b.outcomes, serial.outcomes);
-            }
-        }
+        assert_eq!(serial.runs, pooled.runs, "threads = {threads}");
+        assert_eq!(serial.outcomes, pooled.outcomes);
     }
 }
 
@@ -219,27 +172,21 @@ fn dropped_runs_are_thread_count_invariant() {
 /// sharded-sweep threshold (≥ 256 simultaneously infected hosts), so
 /// the sharded stage-A path actually runs rather than falling back to
 /// the serial sweep.
-fn sharded_world(routing: RoutingKind) -> World {
-    World::from_subnets_with(
+fn sharded_world() -> World {
+    World::from_subnets(
         generators::SubnetTopologyBuilder::new()
             .backbone_routers(2)
             .subnets(8)
             .hosts_per_subnet(40)
             .build()
             .expect("valid subnet topology"),
-        routing,
     )
 }
 
 /// A busy sharded config: throttling filters feed the packet queues and
 /// a quarantine threshold keeps state transitions flowing, so every
 /// engine phase (scan, forward, detect, immunize) is exercised.
-fn sharded_config(
-    world: &World,
-    shards: u32,
-    strategy: SimStrategy,
-    faults: FaultPlan,
-) -> SimConfig {
+fn sharded_config(world: &World, shards: u32, faults: FaultPlan) -> SimConfig {
     let hosts = world.hosts().to_vec();
     let mut plan = RateLimitPlan::none();
     plan.filter_hosts(&hosts, HostFilter::delaying(200, 2, 10));
@@ -255,7 +202,6 @@ fn sharded_config(
             mu: 0.05,
         })
         .faults(faults)
-        .strategy(strategy)
         .shards(ShardSpec::Fixed(shards))
         .build()
         .expect("valid config")
@@ -277,9 +223,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The tentpole invariant: a single world stepped under any shard
-    /// count, stepping strategy, routing backend, and fault plan
-    /// produces the same `SimResult` **and the same observer bytes** as
-    /// the serial tick run. Sharding is a pure performance knob.
+    /// count and fault plan produces the same `SimResult` **and the
+    /// same observer bytes** as the serial run. Sharding is a pure
+    /// performance knob.
     #[test]
     fn single_runs_are_shard_count_invariant(
         seed in 0u64..500,
@@ -294,26 +240,17 @@ proptest! {
         } else {
             FaultPlan::none()
         };
-        let serial_world = sharded_world(RoutingKind::Hier);
-        let serial_cfg = sharded_config(&serial_world, 1, SimStrategy::Tick, faults.clone());
-        let (baseline, baseline_stream) = observed_run(&serial_world, &serial_cfg, seed);
-        for routing in [RoutingKind::Hier, RoutingKind::Dense] {
-            let world = sharded_world(routing);
-            for strategy in STRATEGIES {
-                for shards in SHARD_COUNTS {
-                    let cfg = sharded_config(&world, shards, strategy, faults.clone());
-                    let (result, stream) = observed_run(&world, &cfg, seed);
-                    prop_assert_eq!(
-                        &baseline, &result,
-                        "shards = {} strategy = {} routing = {:?}", shards, strategy, routing
-                    );
-                    prop_assert_eq!(
-                        &baseline_stream, &stream,
-                        "observer stream diverged: shards = {} strategy = {} routing = {:?}",
-                        shards, strategy, routing
-                    );
-                }
-            }
+        let world = sharded_world();
+        let serial_cfg = sharded_config(&world, 1, faults.clone());
+        let (baseline, baseline_stream) = observed_run(&world, &serial_cfg, seed);
+        for shards in SHARD_COUNTS {
+            let cfg = sharded_config(&world, shards, faults.clone());
+            let (result, stream) = observed_run(&world, &cfg, seed);
+            prop_assert_eq!(&baseline, &result, "shards = {}", shards);
+            prop_assert_eq!(
+                &baseline_stream, &stream,
+                "observer stream diverged: shards = {}", shards
+            );
         }
     }
 
@@ -327,13 +264,12 @@ proptest! {
         seed in 0u64..200,
         split in 8u64..32,
     ) {
-        let world = sharded_world(RoutingKind::Hier);
-        let serial_cfg = sharded_config(&world, 1, SimStrategy::Tick, FaultPlan::none());
+        let world = sharded_world();
+        let serial_cfg = sharded_config(&world, 1, FaultPlan::none());
         let (baseline, baseline_stream) = observed_run(&world, &serial_cfg, seed);
         for (snap_shards, resume_shards) in [(1, 4), (4, 1), (4, 7)] {
-            let snap_cfg = sharded_config(&world, snap_shards, SimStrategy::Tick, FaultPlan::none());
-            let resume_cfg =
-                sharded_config(&world, resume_shards, SimStrategy::Tick, FaultPlan::none());
+            let snap_cfg = sharded_config(&world, snap_shards, FaultPlan::none());
+            let resume_cfg = sharded_config(&world, resume_shards, FaultPlan::none());
             let mut buf = Vec::new();
             let snap = {
                 let mut writer = JsonlEventWriter::new(&mut buf);

@@ -7,7 +7,7 @@ use dynaquar::epidemic::star::LeafRateLimit;
 use dynaquar::prelude::*;
 use dynaquar::ratelimit::window::UniqueIpWindow;
 use dynaquar::topology::generators;
-use dynaquar::topology::routing::RoutingTable;
+use dynaquar::topology::{HierRouting, RoutingBackend};
 use proptest::prelude::*;
 
 proptest! {
@@ -74,11 +74,11 @@ proptest! {
         }
     }
 
-    /// Routing tables produce shortest, loop-free paths.
+    /// The routing table produces shortest, loop-free paths.
     #[test]
     fn routing_paths_are_shortest_and_loop_free(seed in 0u64..200) {
         let g = generators::barabasi_albert(60, 2, seed).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
+        let rt = HierRouting::new(&g);
         for (s, d) in [(0usize, 59usize), (5, 40), (59, 1)] {
             let path = rt.path(s.into(), d.into()).unwrap();
             prop_assert_eq!(path.len() as u32 - 1, rt.distance(s.into(), d.into()).unwrap());

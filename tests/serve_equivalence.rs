@@ -7,7 +7,7 @@
 //!
 //! The daemon must add no nondeterminism on top of the engine's
 //! contract: the suite runs under whatever `DYNAQUAR_THREADS` /
-//! `DYNAQUAR_SHARDS` / `DYNAQUAR_STRATEGY` the CI matrix sets, and both
+//! `DYNAQUAR_SHARDS` the CI matrix sets, and both
 //! sides of every comparison see the same environment, so any
 //! divergence is the daemon's fault. Two fingerprint worlds (the capped
 //! hub with background traffic and the kitchen-sink fault plan) use
@@ -26,26 +26,24 @@ use std::time::Duration;
 /// served run — checkpointing must never perturb the result).
 fn fingerprint_specs() -> Vec<(&'static str, Value, Option<u64>)> {
     let mut specs = Vec::new();
-    // dynamic_quarantine_star_is_bit_identical, dense × hier.
-    for routing in ["dense", "hier"] {
-        specs.push((
-            "dynamic-quarantine-star",
-            parse_json(&format!(
-                r#"{{
-                    "topology": {{"kind": "star", "leaves": 199}},
-                    "beta": 0.8, "horizon": 200, "initial_infected": 2,
-                    "deployment": {{"hosts": 1.0}},
-                    "params": {{"host_window_ticks": 200, "host_max_new_targets": 1,
-                                "host_release_period_ticks": 10}},
-                    "quarantine": {{"queue_threshold": 3}},
-                    "routing": "{routing}",
-                    "runs": 1, "seed": 21
-                }}"#
-            ))
-            .unwrap(),
-            Some(37),
-        ));
-    }
+    // dynamic_quarantine_star_is_bit_identical.
+    specs.push((
+        "dynamic-quarantine-star",
+        parse_json(
+            r#"{
+                "topology": {"kind": "star", "leaves": 199},
+                "beta": 0.8, "horizon": 200, "initial_infected": 2,
+                "deployment": {"hosts": 1.0},
+                "params": {"host_window_ticks": 200, "host_max_new_targets": 1,
+                           "host_release_period_ticks": 10},
+                "quarantine": {"queue_threshold": 3},
+                "routing": "hier",
+                "runs": 1, "seed": 21
+            }"#,
+        )
+        .unwrap(),
+        Some(37),
+    ));
     // welchia_self_patch_is_bit_identical.
     specs.push((
         "welchia-self-patch",
@@ -60,8 +58,8 @@ fn fingerprint_specs() -> Vec<(&'static str, Value, Option<u64>)> {
         .unwrap(),
         Some(64),
     ));
-    // power_law_1000_*_is_bit_identical, dense × lazy(87) × hier.
-    for routing in [r#""dense""#, r#"{"lazy": 87}"#, r#""hier""#] {
+    // power_law_1000_*_is_bit_identical, lazy(87) × hier.
+    for routing in [r#"{"lazy": 87}"#, r#""hier""#] {
         specs.push((
             "power-law-1000",
             parse_json(&format!(
@@ -81,30 +79,27 @@ fn fingerprint_specs() -> Vec<(&'static str, Value, Option<u64>)> {
             Some(25),
         ));
     }
-    // power_law_6000_is_bit_identical_across_strategies, tick × event.
-    // (The spec's power-law role split is fixed at 5 % / 10 %, so this
-    // leg runs the pinned graph under the spec's split — equivalence is
-    // served-vs-direct of the same spec, not the engine-side pin.)
-    for strategy in ["tick", "event"] {
-        specs.push((
-            "power-law-6000",
-            parse_json(&format!(
-                r#"{{
-                    "topology": {{"kind": "power_law", "nodes": 6000,
-                                  "edges_per_node": 2, "seed": 5}},
-                    "beta": 0.6, "horizon": 60, "initial_infected": 4,
-                    "deployment": {{"hosts": 1.0}},
-                    "params": {{"host_window_ticks": 200, "host_max_new_targets": 2,
-                                "host_release_period_ticks": 12}},
-                    "quarantine": {{"queue_threshold": 4}},
-                    "strategy": "{strategy}",
-                    "runs": 1, "seed": 23
-                }}"#
-            ))
-            .unwrap(),
-            None,
-        ));
-    }
+    // power_law_6000_is_bit_identical. (The spec's power-law role
+    // split is fixed at 5 % / 10 %, so this leg runs the pinned graph
+    // under the spec's split — equivalence is served-vs-direct of the
+    // same spec, not the engine-side pin.)
+    specs.push((
+        "power-law-6000",
+        parse_json(
+            r#"{
+                "topology": {"kind": "power_law", "nodes": 6000,
+                             "edges_per_node": 2, "seed": 5},
+                "beta": 0.6, "horizon": 60, "initial_infected": 4,
+                "deployment": {"hosts": 1.0},
+                "params": {"host_window_ticks": 200, "host_max_new_targets": 2,
+                           "host_release_period_ticks": 12},
+                "quarantine": {"queue_threshold": 4},
+                "runs": 1, "seed": 23
+            }"#,
+        )
+        .unwrap(),
+        None,
+    ));
     // immunization_heavy_subnet_is_bit_identical (~6k-host subnet world).
     specs.push((
         "immunization-heavy-subnet",

@@ -188,3 +188,38 @@ fn malformed_documents_name_their_format_in_the_parse_error() {
         Ok(_) => panic!("a bare integer is not a spec"),
     }
 }
+
+/// Inputs of retired engine paths — a `strategy` key (event-driven
+/// stepping is the only engine) and the `dense` routing backend — are
+/// typed errors that name the field, in both formats, and canonical
+/// specs no longer emit a `strategy` key.
+#[test]
+fn retired_strategy_key_and_dense_routing_are_typed_errors() {
+    let star = r#""topology": {"kind": "star", "leaves": 9}"#;
+    let star_toml = "[topology]\nkind = \"star\"\nleaves = 9\n";
+    let strategy = SpecError::UnknownField {
+        field: "strategy".to_string(),
+    };
+    for value in ["auto", "tick", "event"] {
+        let json = format!(r#"{{{star}, "strategy": "{value}"}}"#);
+        assert_eq!(scenario_from_json(&json), Err(strategy.clone()), "{json}");
+        let toml = format!("strategy = \"{value}\"\n{star_toml}");
+        assert_eq!(scenario_from_toml(&toml), Err(strategy.clone()), "{toml}");
+    }
+    let dense = [
+        scenario_from_json(&format!(r#"{{{star}, "routing": "dense"}}"#)),
+        scenario_from_toml(&format!("routing = \"dense\"\n{star_toml}")),
+    ];
+    for outcome in dense {
+        match outcome {
+            Err(SpecError::InvalidValue { field, reason }) => {
+                assert_eq!(field, "routing");
+                assert!(reason.contains("\"dense\""), "{reason}");
+            }
+            other => panic!("expected a routing InvalidValue, got {other:?}"),
+        }
+    }
+    let canonical = scenario_from_json(&format!("{{{star}}}")).unwrap();
+    assert!(!scenario_to_json(&canonical).unwrap().contains("strategy"));
+    assert!(!scenario_to_toml(&canonical).unwrap().contains("strategy"));
+}
