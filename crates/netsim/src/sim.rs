@@ -52,7 +52,7 @@ use dynaquar_epidemic::TimeSeries;
 use dynaquar_parallel::join_parts;
 use dynaquar_ratelimit::window::UniqueIpWindow;
 use dynaquar_ratelimit::{RateLimiter, RemoteKey};
-use dynaquar_topology::{EdgeId, NodeId};
+use dynaquar_topology::NodeId;
 use dynaquar_worms::scanner::{ScanContext, TargetSelector};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,7 +66,6 @@ use std::collections::{BTreeSet, VecDeque};
 /// either way, so the thresholds never affect results.
 const SHARD_MIN_SCANNERS: usize = 256;
 const SHARD_MIN_UNPATCHED: usize = 4096;
-const SHARD_MIN_PACKETS: usize = 4096;
 
 /// Aggregate outcome of one simulation run.
 ///
@@ -1035,48 +1034,7 @@ impl<'w> Simulator<'w> {
         }
     }
 
-    /// Sharded `(next hop, edge)` precomputation for every packet in
-    /// this tick's FIFO, in queue order — `None` per unroutable packet,
-    /// `None` overall when the serial inline lookup is cheaper (few
-    /// packets or one shard). Must run before `start_drain` swaps the
-    /// queue away.
-    fn precompute_hops(&self) -> Option<Vec<Option<(NodeId, EdgeId)>>> {
-        let shards = self.shard_cuts.len() - 1;
-        if shards < 2 || self.packets.queued() < SHARD_MIN_PACKETS {
-            return None;
-        }
-        let pairs: Vec<(NodeId, NodeId)> = self
-            .packets
-            .iter_queued()
-            .map(|p| (p.current, p.dst))
-            .collect();
-        let graph = self.world.graph();
-        let routing = self.world.routing();
-        let chunk = pairs.len().div_ceil(shards);
-        type HopPart<'a> = (&'a [(NodeId, NodeId)], Vec<Option<(NodeId, EdgeId)>>);
-        let mut parts: Vec<HopPart> = pairs
-            .chunks(chunk)
-            .map(|c| (c, Vec::with_capacity(c.len())))
-            .collect();
-        join_parts(&mut parts, |_, (chunk, out)| {
-            for &(current, dst) in chunk.iter() {
-                out.push(routing.next_hop(current, dst).map(|next| {
-                    let edge = graph
-                        .edge_between(current, next)
-                        .expect("next hop is adjacent");
-                    (next, edge)
-                }));
-            }
-        });
-        let mut hops = Vec::with_capacity(pairs.len());
-        for (_, out) in parts {
-            hops.extend(out);
-        }
-        Some(hops)
-    }
-
     fn forward_packets(&mut self, tick: u64, observer: &mut dyn SimObserver) {
-        let graph = self.world.graph();
         let routing = self.world.routing();
         // Refill link token accumulators (fractional caps accumulate
         // credit; burst bounded by max(cap, 1)). Only capped entries
@@ -1093,31 +1051,12 @@ impl<'w> Simulator<'w> {
             let cap = self.node_caps[i].expect("capped-node index entries have caps");
             self.node_tokens[i] = (self.node_tokens[i] + cap).min(cap.max(1.0));
         }
-        // Next-hop lookups are pure functions of (routing, current,
-        // dst), so on busy ticks the shards precompute them for the
-        // whole FIFO up front; the serial drain below then consumes
-        // them in queue order — bit-identical to looking them up inline.
-        let precomputed = self.precompute_hops();
-        let mut hop_cursor = 0usize;
         // Drain this tick's FIFO through the pool's recycled scratch
         // queue: retained packets re-queue in order, finished packets
         // return their slot to the free-list — no per-tick allocation.
         self.packets.start_drain();
         while let Some((slot, mut p)) = self.packets.next_drained() {
-            let hop = match &precomputed {
-                Some(hops) => {
-                    let h = hops[hop_cursor];
-                    hop_cursor += 1;
-                    h
-                }
-                None => routing.next_hop(p.current, p.dst).map(|next| {
-                    let edge = graph
-                        .edge_between(p.current, next)
-                        .expect("next hop is adjacent");
-                    (next, edge)
-                }),
-            };
-            let Some((next, edge)) = hop else {
+            let Some((next, edge)) = routing.next_link(p.current, p.dst) else {
                 // Unroutable (disconnected topology): the packet leaves
                 // the network, and the ledger says so.
                 self.accounting.kind_mut(p.kind).unroutable += 1;

@@ -21,7 +21,9 @@
 //!
 //! Every error is `{"ok":false,"error":{"kind":...,"message":...}}`
 //! with [`ServeError::kind`] as the kind — a malformed request can
-//! never crash the daemon.
+//! never crash the daemon. A request line longer than
+//! [`MAX_REQUEST_BYTES`](crate::server::MAX_REQUEST_BYTES) gets a
+//! `bad_request` error, and the server then closes that connection.
 
 use crate::daemon::Daemon;
 use crate::error::ServeError;
@@ -55,7 +57,7 @@ fn ok_line(mut fields: Vec<(String, Value)>) -> String {
     emit_json(&Value::Object(all))
 }
 
-fn error_line(e: &ServeError) -> String {
+pub(crate) fn error_line(e: &ServeError) -> String {
     emit_json(&Value::Object(vec![
         ("ok".into(), Value::Bool(false)),
         (

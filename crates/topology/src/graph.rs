@@ -276,6 +276,12 @@ impl PartialEq for Graph {
 /// which is what keeps CSR-based BFS bit-identical to the adjacency-list
 /// BFS the routing equivalence contract is written against.
 ///
+/// Each adjacency entry is an *arc* `a` (`u → v`) with a flat index
+/// into `targets`. Alongside its target, every arc carries its *link*:
+/// the source `u` and the [`EdgeId`] it crosses, so code holding an arc
+/// index reaches both the node and the link in one read, without the
+/// graph's edge hash map.
+///
 /// The snapshot is derived (never serialized); [`Graph`]'s adjacency-list
 /// representation and serde format are unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -285,10 +291,17 @@ pub struct Csr {
     offsets: Vec<usize>,
     /// Neighbor node indices, concatenated in adjacency order.
     targets: Vec<u32>,
+    /// Per arc: its source node and the edge it crosses.
+    links: Vec<(NodeId, EdgeId)>,
 }
 
 impl Csr {
     /// Builds the CSR snapshot of `graph`, preserving adjacency order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adjacency lists are not in edge-insertion order
+    /// (only a hand-edited serialized graph can break that).
     pub fn from_graph(graph: &Graph) -> Self {
         let n = graph.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -300,17 +313,57 @@ impl Csr {
             }
             offsets.push(targets.len());
         }
-        Csr { offsets, targets }
+        // Adjacency order is edge-insertion order, so edge `(a, b)`
+        // owns the next unfilled arc of `a` and the next of `b`: one
+        // pass fills every link, using each node's start offset as its
+        // cursor. The cursor of `u` ends on the start of `u + 1`, so one
+        // shift restores the offsets.
+        assert_eq!(
+            targets.len(),
+            2 * graph.edge_count(),
+            "adjacency lists match the edges"
+        );
+        let mut links = vec![(NodeId::default(), EdgeId::default()); targets.len()];
+        for (e, a, b) in graph.edges() {
+            for (u, v) in [(a, b), (b, a)] {
+                let arc = offsets[u.index()];
+                offsets[u.index()] += 1;
+                assert_eq!(
+                    targets[arc] as usize,
+                    v.index(),
+                    "adjacency of {u} is out of edge order at {e}"
+                );
+                links[arc] = (u, e);
+            }
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        Csr {
+            offsets,
+            targets,
+            links,
+        }
     }
 
     /// Assembles a CSR from prebuilt arrays (`offsets.len() == n + 1`,
-    /// monotone, bounded by `targets.len()`). Used for induced
-    /// subgraphs whose neighbor order must mirror the parent graph's.
-    pub(crate) fn from_parts(offsets: Vec<usize>, targets: Vec<u32>) -> Self {
+    /// monotone, bounded by `targets.len()`, one link per target). Used
+    /// for induced subgraphs whose neighbor order must mirror the
+    /// parent graph's; their links may name the parent graph's nodes
+    /// and edges.
+    pub(crate) fn from_parts(
+        offsets: Vec<usize>,
+        targets: Vec<u32>,
+        links: Vec<(NodeId, EdgeId)>,
+    ) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), targets.len());
+        debug_assert_eq!(links.len(), targets.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        Csr { offsets, targets }
+        Csr {
+            offsets,
+            targets,
+            links,
+        }
     }
 
     /// Number of nodes the snapshot covers.
@@ -330,6 +383,27 @@ impl Csr {
     /// Panics if `u` is out of range.
     pub fn neighbors(&self, u: usize) -> &[u32] {
         &self.targets[self.offsets[u]..self.offsets[u + 1]]
+    }
+
+    /// Index of node `u`'s first arc: `neighbors(u)[i]` is the target
+    /// of arc `first_arc(u) + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[inline]
+    pub(crate) fn first_arc(&self, u: usize) -> usize {
+        self.offsets[u]
+    }
+
+    /// The link of arc `arc`: its source node and the edge it crosses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arc` is out of range.
+    #[inline]
+    pub(crate) fn link(&self, arc: usize) -> (NodeId, EdgeId) {
+        self.links[arc]
     }
 
     /// The degree of node `u`.
@@ -466,6 +540,21 @@ mod tests {
                 .collect();
             assert_eq!(csr.neighbors(u), expected.as_slice());
             assert_eq!(csr.degree(u), g.degree(NodeId::from(u)));
+        }
+    }
+
+    #[test]
+    fn csr_links_match_edge_between() {
+        let mut g = crate::generators::barabasi_albert(60, 2, 4).unwrap();
+        // An isolated node owns no arcs.
+        g.add_node();
+        let csr = Csr::from_graph(&g);
+        for u in 0..g.node_count() {
+            for (i, &v) in csr.neighbors(u).iter().enumerate() {
+                let (source, edge) = csr.link(csr.first_arc(u) + i);
+                assert_eq!(source, NodeId::from(u));
+                assert_eq!(Some(edge), g.edge_between(source, NodeId::new(v)));
+            }
         }
     }
 

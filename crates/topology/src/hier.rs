@@ -9,8 +9,8 @@
 //! * a **dense core table** over the 2-edge-connected remainder (the
 //!   backbone plus edge routers — a few hundred nodes where the full
 //!   graph has a hundred thousand), and
-//! * per-node **parent / depth / anchor** arrays describing each
-//!   pendant tree (`O(n)` total).
+//! * per-node **parent / parent edge / depth / anchor** arrays
+//!   describing each pendant tree (`O(n)` total).
 //!
 //! A lookup composes the two levels: queries inside one tree walk the
 //! parent pointers (the in-tree path is unique), queries across trees go
@@ -49,8 +49,8 @@
 //! a dense all-pairs table behind an identity index map.
 
 use crate::error::Error;
-use crate::graph::{Csr, Graph, NodeId};
-use crate::routing::{Cells, RoutingBackend, NO_HOP};
+use crate::graph::{Csr, EdgeId, Graph, NodeId};
+use crate::routing::{Cells, Link, RoutingBackend, NO_HOP};
 use dynaquar_parallel::ParallelConfig;
 use std::collections::VecDeque;
 
@@ -62,6 +62,8 @@ use std::collections::VecDeque;
 struct Peeled {
     /// Tree parent of each peeled node; [`NO_HOP`] for core nodes.
     parent: Vec<u32>,
+    /// The edge to the tree parent; unused for core nodes.
+    parent_edge: Vec<EdgeId>,
     /// `true` for nodes removed by the peel (pendant-tree members).
     removed: Vec<bool>,
     /// Peeled nodes in removal order (leaves before their parents).
@@ -77,6 +79,7 @@ fn peel(csr: &Csr) -> Peeled {
     let n = csr.node_count();
     let mut degree: Vec<u32> = (0..n).map(|u| csr.degree(u) as u32).collect();
     let mut parent = vec![NO_HOP; n];
+    let mut parent_edge = vec![EdgeId::default(); n];
     let mut removed = vec![false; n];
     let mut order = Vec::new();
     let mut queue: VecDeque<u32> = (0..n as u32)
@@ -90,13 +93,12 @@ fn peel(csr: &Csr) -> Peeled {
         if degree[ui] != 1 {
             continue;
         }
-        let p = csr
-            .neighbors(ui)
-            .iter()
-            .copied()
-            .find(|&v| !removed[v as usize])
+        let (arc, p) = (csr.first_arc(ui)..)
+            .zip(csr.neighbors(ui).iter().copied())
+            .find(|&(_, v)| !removed[v as usize])
             .expect("degree 1 implies an unremoved neighbor");
         parent[ui] = p;
+        parent_edge[ui] = csr.link(arc).1;
         removed[ui] = true;
         order.push(u);
         degree[ui] = 0;
@@ -107,6 +109,7 @@ fn peel(csr: &Csr) -> Peeled {
     }
     Peeled {
         parent,
+        parent_edge,
         removed,
         order,
     }
@@ -149,16 +152,21 @@ pub struct HierRouting {
     n: usize,
     /// Tree parent toward the core; [`NO_HOP`] for core nodes.
     parent: Vec<u32>,
+    /// The edge to the tree parent; unused for core nodes.
+    parent_edge: Vec<EdgeId>,
     /// Hops from the node to its anchor; 0 for core nodes.
     depth: Vec<u32>,
     /// The core node the pendant tree hangs off; self for core nodes.
     anchor: Vec<u32>,
-    /// Position in `core_nodes`; `u32::MAX` for pendant nodes.
+    /// Position among the core nodes (ascending by id); `u32::MAX` for
+    /// pendant nodes.
     core_index: Vec<u32>,
-    /// Core node ids, ascending (= core-index → full-id translation).
-    core_nodes: Vec<u32>,
-    /// Dense all-pairs table over the induced core subgraph, in
-    /// core-index space (`cells[dst_ci * core + src_ci]`).
+    /// The induced core subgraph in core-index space; its links name
+    /// full-graph nodes and edges, so a decoded core cell needs no
+    /// translation.
+    core_csr: Csr,
+    /// Dense all-pairs table over `core_csr`
+    /// (`cells[dst_ci * core + src_ci]`).
     core_cells: Cells,
 }
 
@@ -180,11 +188,20 @@ impl HierRouting {
     /// [`RoutingKind::Auto`](crate::lazy::RoutingKind) picks between
     /// this backend and the lazy cache.
     pub fn with_core_limit(graph: &Graph, max_core: usize, pool: &ParallelConfig) -> Option<Self> {
-        let csr = Csr::from_graph(graph);
+        Self::from_csr_within(Csr::from_graph(graph), max_core, pool).ok()
+    }
+
+    /// [`HierRouting::with_core_limit`] over the graph's CSR snapshot; a
+    /// refused core hands the snapshot back for the lazy backend.
+    pub(crate) fn from_csr_within(
+        csr: Csr,
+        max_core: usize,
+        pool: &ParallelConfig,
+    ) -> Result<Self, Csr> {
         let n = csr.node_count();
         let peeled = peel(&csr);
         if n - peeled.order.len() > max_core {
-            return None;
+            return Err(csr);
         }
 
         // Depth and anchor propagate root-to-leaf, i.e. in reverse
@@ -210,35 +227,40 @@ impl HierRouting {
         // Induced core subgraph in core-index space. Iterating
         // core_nodes ascending and filtering each adjacency list in
         // place preserves the parent graph's neighbor order — the
-        // property the bit-identity argument leans on.
+        // property the bit-identity argument leans on. Each kept arc
+        // keeps its full-graph link.
         let mut offsets = Vec::with_capacity(core_nodes.len() + 1);
         let mut targets = Vec::new();
+        let mut links = Vec::new();
         offsets.push(0);
         for &u in &core_nodes {
-            for &v in csr.neighbors(u as usize) {
+            let first = csr.first_arc(u as usize);
+            for (arc, &v) in (first..).zip(csr.neighbors(u as usize)) {
                 if !peeled.removed[v as usize] {
                     targets.push(core_index[v as usize]);
+                    links.push(csr.link(arc));
                 }
             }
             offsets.push(targets.len());
         }
-        let core_csr = Csr::from_parts(offsets, targets);
+        let core_csr = Csr::from_parts(offsets, targets, links);
         let core_cells = Cells::build(&core_csr, pool);
 
-        Some(HierRouting {
+        Ok(HierRouting {
             n,
             parent: peeled.parent,
+            parent_edge: peeled.parent_edge,
             depth,
             anchor,
             core_index,
-            core_nodes,
+            core_csr,
             core_cells,
         })
     }
 
     /// Number of core (unpeeled) nodes the core table covers.
     pub fn core_size(&self) -> usize {
-        self.core_nodes.len()
+        self.core_csr.node_count()
     }
 
     /// Validates that both endpoints exist.
@@ -254,15 +276,21 @@ impl HierRouting {
         Ok(())
     }
 
-    /// Core-table cell for the ordered pair of *core* node ids.
+    /// Core-table index of the ordered pair of *core* node ids.
     #[inline]
-    fn core_cell(&self, src_core: u32, dst_core: u32) -> (u32, u32) {
-        let nc = self.core_nodes.len();
+    fn core_idx(&self, src_core: u32, dst_core: u32) -> usize {
+        let nc = self.core_csr.node_count();
         let (si, di) = (
             self.core_index[src_core as usize] as usize,
             self.core_index[dst_core as usize] as usize,
         );
-        self.core_cells.hop_dist(di * nc + si)
+        di * nc + si
+    }
+
+    /// The tree link from `u` up to its parent.
+    #[inline]
+    fn up_link(&self, u: usize) -> Link {
+        (NodeId::new(self.parent[u]), self.parent_edge[u])
     }
 
     /// Hop count between two nodes of the same pendant tree (or its
@@ -293,7 +321,7 @@ impl RoutingBackend for HierRouting {
         self.n
     }
 
-    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
+    fn try_next_link(&self, src: NodeId, dst: NodeId) -> Result<Option<Link>, Error> {
         self.check_nodes(src, dst)?;
         if src == dst {
             return Ok(None);
@@ -309,25 +337,25 @@ impl RoutingBackend for HierRouting {
                     v = self.parent[v] as usize;
                 }
                 if self.parent[v] as usize == s {
-                    return Ok(Some(NodeId::from(v)));
+                    return Ok(Some((NodeId::from(v), self.parent_edge[v])));
                 }
             }
-            return Ok(Some(NodeId::new(self.parent[s])));
+            return Ok(Some(self.up_link(s)));
         }
         // Across trees the route must traverse the core; reachability
         // is decided by the anchors' core cell.
-        let (hop_ci, cd) = self.core_cell(self.anchor[s], self.anchor[d]);
-        if cd == u32::MAX {
+        let idx = self.core_idx(self.anchor[s], self.anchor[d]);
+        if self.core_cells.dist(idx) == u32::MAX {
             return Ok(None);
         }
         if self.depth[s] > 0 {
             // Pendant source: first leg climbs toward its anchor.
-            return Ok(Some(NodeId::new(self.parent[s])));
+            return Ok(Some(self.up_link(s)));
         }
         // Core source: the core row for anchor(dst) already holds the
-        // exact next hop toward the pendant destination (see module
-        // docs), in core-index space.
-        Ok(Some(NodeId::new(self.core_nodes[hop_ci as usize])))
+        // exact next link toward the pendant destination (see module
+        // docs).
+        Ok(self.core_cells.link(&self.core_csr, idx))
     }
 
     fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {
@@ -339,7 +367,8 @@ impl RoutingBackend for HierRouting {
         if self.anchor[s] == self.anchor[d] {
             return Ok(Some(self.tree_distance(s, d)));
         }
-        let (_, cd) = self.core_cell(self.anchor[s], self.anchor[d]);
+        let idx = self.core_idx(self.anchor[s], self.anchor[d]);
+        let cd = self.core_cells.dist(idx);
         if cd == u32::MAX {
             return Ok(None);
         }

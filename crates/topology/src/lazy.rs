@@ -7,7 +7,7 @@
 //! peel to a small core. [`LazyRouting`] stores nothing up
 //! front: the first query toward a destination runs one BFS rooted at
 //! that destination (`O(n + m)`, `8·n` bytes) and caches its packed
-//! hop/distance row; a bounded LRU evicts the coldest destination when
+//! arc/distance row; a bounded LRU evicts the coldest destination when
 //! full, recycling its buffer into the next computation so
 //! steady-state routing allocates nothing.
 //!
@@ -32,7 +32,7 @@
 use crate::error::Error;
 use crate::graph::{Csr, Graph, NodeId};
 use crate::hier::HierRouting;
-use crate::routing::{bfs_fill_row, PackedCell, RoutingBackend, NO_HOP};
+use crate::routing::{bfs_fill_row, decode_link, Link, PackedCell, RoutingBackend};
 use dynaquar_parallel::ParallelConfig;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -85,15 +85,17 @@ impl RoutingKind {
     ///
     /// `Auto` decides from the same peel the hier backend is built
     /// from ([`HierRouting::with_core_limit`], `O(n + m)`), so a world
-    /// is peeled once whichever backend it gets.
+    /// is peeled once, and its CSR snapshot built once, whichever
+    /// backend it gets.
     pub fn build(self, graph: &Graph) -> Box<dyn RoutingBackend> {
         match self {
             RoutingKind::Auto => {
                 let pool = ParallelConfig::from_env();
-                match HierRouting::with_core_limit(graph, DENSE_AUTO_LIMIT, &pool) {
-                    Some(hier) => Box::new(hier),
-                    None => Box::new(LazyRouting::new(
-                        graph,
+                let csr = Csr::from_graph(graph);
+                match HierRouting::from_csr_within(csr, DENSE_AUTO_LIMIT, &pool) {
+                    Ok(hier) => Box::new(hier),
+                    Err(csr) => Box::new(LazyRouting::from_csr(
+                        csr,
                         default_cache_capacity(graph.node_count()),
                     )),
                 }
@@ -117,8 +119,8 @@ pub const SHARD_THRESHOLD: usize = 64;
 /// so eviction behaviour is machine-independent.
 pub const SHARD_COUNT: usize = 8;
 
-/// One destination's cached BFS row: packed `(next_hop, distance)`
-/// cells indexed by source (see [`PackedCell`]).
+/// One destination's cached BFS row: packed `(arc, distance)` cells
+/// indexed by source (see [`PackedCell`]).
 struct Slot {
     cells: Vec<u64>,
     last_used: u64,
@@ -210,7 +212,12 @@ impl LazyRouting {
     /// destinations in total (clamped to at least 1), spread over the
     /// shards.
     pub fn new(graph: &Graph, capacity: usize) -> Self {
-        let n = graph.node_count();
+        Self::from_csr(Csr::from_graph(graph), capacity)
+    }
+
+    /// [`LazyRouting::new`] over the graph's CSR snapshot.
+    fn from_csr(csr: Csr, capacity: usize) -> Self {
+        let n = csr.node_count();
         let capacity = capacity.max(1);
         let shard_count = if capacity >= SHARD_THRESHOLD {
             SHARD_COUNT
@@ -229,7 +236,7 @@ impl LazyRouting {
             .collect();
         LazyRouting {
             n,
-            csr: Csr::from_graph(graph),
+            csr,
             capacity,
             shards,
         }
@@ -356,13 +363,12 @@ impl RoutingBackend for LazyRouting {
         self.n
     }
 
-    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
+    fn try_next_link(&self, src: NodeId, dst: NodeId) -> Result<Option<Link>, Error> {
         self.check_nodes(src, dst)?;
         if src == dst {
             return Ok(None);
         }
-        let hop = self.with_routes(dst, |cells| cells[src.index()].hop());
-        Ok((hop != NO_HOP).then(|| NodeId::new(hop)))
+        Ok(self.with_routes(dst, |cells| decode_link(&self.csr, cells[src.index()])))
     }
 
     fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {

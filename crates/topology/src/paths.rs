@@ -109,8 +109,7 @@ pub fn link_coverage(
             }
             let mut cur = src;
             while cur != dst {
-                let nxt = routing.next_hop(cur, dst).expect("finite distance");
-                let e = graph.edge_between(cur, nxt).expect("hop is a neighbor");
+                let (nxt, e) = routing.next_link(cur, dst).expect("finite distance");
                 if filtered_edges[e.index()] {
                     covered += 1;
                     break;

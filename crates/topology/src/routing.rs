@@ -22,6 +22,12 @@
 //! keeps the original adjacency-list serial loop as the independent
 //! oracle the differential suite (`tests/routing_oracle.rs`) pins every
 //! backend against.
+//!
+//! A row's cell records the CSR arc that discovered its node, not the
+//! parent node: the arc's link (its source and edge, stored on the
+//! [`Csr`]) is the next node *and* the edge toward the destination, so
+//! a lookup ([`RoutingBackend::try_next_link`]) costs array reads and
+//! no hash. Only this module knows that encoding.
 
 use crate::error::Error;
 use crate::graph::{Csr, EdgeId, Graph, NodeId};
@@ -31,23 +37,31 @@ use std::collections::VecDeque;
 /// Sentinel meaning "no route / self".
 pub(crate) const NO_HOP: u32 = u32::MAX;
 
-/// One table cell holding a packed (next hop, distance) pair.
+/// A lookup's answer: the next node toward the destination and the
+/// edge that reaches it.
+pub type Link = (NodeId, EdgeId);
+
+/// One table cell holding a packed (hop, distance) pair.
 ///
-/// Two widths exist: [`u32`] packs two `u16` halves (graphs up to 65,535
-/// nodes — every all-pairs table that fits in memory in practice), [`u64`]
-/// packs two `u32` halves (the general case, used by the lazy backend's
-/// per-destination rows). Packing matters twice over: one store per BFS
-/// discovery instead of two, and half the table bytes, which on the
-/// latency-bound all-pairs build is the difference between ~3 s and
-/// ~13 s at n = 10k.
+/// The hop half is the discovering arc in rows the shared kernel fills
+/// ([`bfs_fill_row`]) and the parent node in the [`RoutingTable`]
+/// oracle's cells.
+///
+/// Two widths exist: [`u32`] packs two `u16` halves (CSRs with fewer
+/// than [`COMPACT_ARC_LIMIT`] arcs, which covers every all-pairs table
+/// that fits in memory in practice), [`u64`] packs two `u32` halves
+/// (the general case, used by the lazy backend's per-destination rows).
+/// Packing matters twice over: one store per BFS discovery instead of
+/// two, and half the table bytes, which on the latency-bound all-pairs
+/// build is the difference between ~3 s and ~13 s at n = 10k.
 pub(crate) trait PackedCell: Copy + Default + Eq + Send + 'static {
     /// Cell value for a node the BFS never reached (no hop, no distance).
     const UNREACHED: Self;
     /// Cell value for the BFS root (no hop, distance 0).
     const ROOT: Self;
-    /// Packs a discovered node's parent and hop count.
+    /// Packs a discovered node's hop half and distance.
     fn pack(hop: u32, dist: u32) -> Self;
-    /// The next-hop half ([`NO_HOP`] when absent).
+    /// The hop half ([`NO_HOP`] when absent).
     fn hop(self) -> u32;
     /// The distance half (`u32::MAX` when unreached).
     fn dist(self) -> u32;
@@ -115,10 +129,11 @@ impl PackedCell for u64 {
     }
 }
 
-/// Largest node count the compact (`u32` cell, `u16` halves) table
-/// representation covers: hop and distance values stay below the
-/// `0xFFFF` sentinel.
-pub(crate) const COMPACT_LIMIT: usize = u16::MAX as usize;
+/// The compact (`u32` cell, `u16` halves) representation covers CSRs
+/// with fewer arcs than this: every arc index stays below the `0xFFFF`
+/// sentinel, and so does every distance, since a component's diameter
+/// is below its edge count.
+pub(crate) const COMPACT_ARC_LIMIT: usize = u16::MAX as usize;
 
 /// One BFS rooted at `dst`, filling the `n`-wide packed row.
 ///
@@ -127,7 +142,8 @@ pub(crate) const COMPACT_LIMIT: usize = u16::MAX as usize;
 /// order equals FIFO queue order), parents are assigned on first
 /// discovery — so for a fixed graph the filled row is bit-identical no
 /// matter which backend (lazy, hier core) runs it, at either cell
-/// width.
+/// width. A discovered node's cell holds the index of the arc that
+/// discovered it (parent → node); decode it with [`decode_link`].
 pub(crate) fn bfs_fill_row<C: PackedCell>(
     csr: &Csr,
     dst: u32,
@@ -146,10 +162,11 @@ pub(crate) fn bfs_fill_row<C: PackedCell>(
         d += 1;
         next.clear();
         for &u in cur.iter() {
-            for &v in csr.neighbors(u as usize) {
+            let first = csr.first_arc(u as usize) as u32;
+            for (arc, &v) in (first..).zip(csr.neighbors(u as usize)) {
                 let cell = &mut row[v as usize];
                 if cell.is_unreached() {
-                    *cell = C::pack(u, d);
+                    *cell = C::pack(arc, d);
                     next.push(v);
                 }
             }
@@ -157,6 +174,14 @@ pub(crate) fn bfs_fill_row<C: PackedCell>(
         seen += next.len();
         std::mem::swap(cur, next);
     }
+}
+
+/// The link toward the row's root from a cell [`bfs_fill_row`] filled
+/// over `csr` (`None` for the root and for unreached nodes).
+#[inline]
+pub(crate) fn decode_link<C: PackedCell>(csr: &Csr, cell: C) -> Option<Link> {
+    let arc = cell.hop();
+    (arc != NO_HOP).then(|| csr.link(arc as usize))
 }
 
 /// Builds the full destination-major packed table (`cells[dst * n + src]`)
@@ -211,15 +236,24 @@ pub(crate) fn build_dense_cells<C: PackedCell>(csr: &Csr, pool: &ParallelConfig)
 /// oracle (the differential suite in `tests/routing_oracle.rs`
 /// enforces it).
 ///
-/// The derived walks ([`path`](RoutingBackend::try_path),
+/// The next hop ([`try_next_hop`](RoutingBackend::try_next_hop)) and the
+/// derived walks ([`path`](RoutingBackend::try_path),
 /// [`link_loads`](RoutingBackend::link_loads),
 /// [`diameter`](RoutingBackend::diameter), …) have default
-/// implementations in terms of the two required queries; they iterate
-/// destination-outer so cache-backed implementations serve each
+/// implementations in terms of the two required queries; the walks
+/// iterate destination-outer so cache-backed implementations serve each
 /// destination from one BFS.
 pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     /// Number of nodes the backend covers.
     fn node_count(&self) -> usize;
+
+    /// The first hop from `src` toward `dst` and the edge it crosses
+    /// (`None` when unreachable or `src == dst`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NodeOutOfRange`] when either node does not exist.
+    fn try_next_link(&self, src: NodeId, dst: NodeId) -> Result<Option<Link>, Error>;
 
     /// The first hop from `src` toward `dst` (`None` when unreachable or
     /// `src == dst`).
@@ -227,7 +261,9 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     /// # Errors
     ///
     /// Returns [`Error::NodeOutOfRange`] when either node does not exist.
-    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error>;
+    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
+        Ok(self.try_next_link(src, dst)?.map(|(next, _)| next))
+    }
 
     /// Hop distance from `src` to `dst` (`None` when unreachable).
     ///
@@ -238,6 +274,18 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
 
     /// A short static label for reports and benchmarks ("hier", "lazy").
     fn backend_name(&self) -> &'static str;
+
+    /// Panicking variant of [`RoutingBackend::try_next_link`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    fn next_link(&self, src: NodeId, dst: NodeId) -> Option<Link> {
+        match self.try_next_link(src, dst) {
+            Ok(link) => link,
+            Err(e) => panic!("node out of range: {e}"),
+        }
+    }
 
     /// Panicking variant of [`RoutingBackend::try_next_hop`].
     ///
@@ -307,14 +355,14 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     /// # Panics
     ///
     /// Panics if either node is out of range.
-    fn path_edges(&self, graph: &Graph, src: NodeId, dst: NodeId) -> Vec<EdgeId> {
-        match self.path(src, dst) {
-            None => Vec::new(),
-            Some(p) => p
-                .windows(2)
-                .map(|w| graph.edge_between(w[0], w[1]).expect("consecutive hops"))
-                .collect(),
+    fn path_edges(&self, src: NodeId, dst: NodeId) -> Vec<EdgeId> {
+        let mut edges = Vec::new();
+        let mut cur = src;
+        while let Some((next, edge)) = self.next_link(cur, dst) {
+            edges.push(edge);
+            cur = next;
         }
+        edges
     }
 
     /// Counts, for each edge, how many *ordered* node pairs route across
@@ -338,10 +386,7 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
                 }
                 let mut cur = s;
                 while cur != d {
-                    let nxt = self.next_hop(cur, d).expect("finite distance");
-                    let edge = graph
-                        .edge_between(cur, nxt)
-                        .expect("next hop is a neighbor");
+                    let (nxt, edge) = self.next_link(cur, d).expect("finite distance");
                     loads[edge.index()] += 1;
                     cur = nxt;
                 }
@@ -400,7 +445,10 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
 /// [`LazyRouting`](crate::lazy::LazyRouting). This table is the
 /// independent reference the differential suite
 /// (`tests/routing_oracle.rs`) pins both against, so it shares none of
-/// their machinery beyond the packed cell format.
+/// their machinery beyond the packed cell format: its cells hold parent
+/// node ids, and it answers a link's edge with [`Graph::edge_between`]
+/// on its own copy of the graph, which checks the backends' CSR link
+/// arrays against the graph's edge map.
 ///
 /// # Example
 ///
@@ -420,14 +468,16 @@ pub struct RoutingTable {
     /// Packed `(next_hop, distance)` cells, destination-major:
     /// `cells[dst * n + src]`.
     cells: Vec<u64>,
+    /// The graph the table routes, for the edge of each hop.
+    graph: Graph,
 }
 
 /// Table storage at one of two cell widths (see [`PackedCell`]): the
 /// hier backend's core table, with the width picked from the covered
-/// node count at build time.
+/// CSR's arc count at build time.
 #[derive(Debug, Clone)]
 pub(crate) enum Cells {
-    /// `u16` halves — graphs up to [`COMPACT_LIMIT`] nodes.
+    /// `u16` halves — CSRs with fewer than [`COMPACT_ARC_LIMIT`] arcs.
     Compact(Vec<u32>),
     /// `u32` halves — the general case.
     Wide(Vec<u64>),
@@ -435,23 +485,32 @@ pub(crate) enum Cells {
 
 impl Cells {
     /// Builds the full destination-major table for `csr`, choosing the
-    /// compact width whenever the node count permits.
+    /// compact width whenever the arc count permits.
     pub(crate) fn build(csr: &Csr, pool: &ParallelConfig) -> Self {
-        if csr.node_count() <= COMPACT_LIMIT {
+        if csr.entry_count() < COMPACT_ARC_LIMIT {
             Cells::Compact(build_dense_cells::<u32>(csr, pool))
         } else {
             Cells::Wide(build_dense_cells::<u64>(csr, pool))
         }
     }
 
-    /// The `(next_hop, distance)` pair at flat index `idx`
-    /// (= `dst * n + src`), with sentinels widened to
-    /// [`NO_HOP`] / `u32::MAX`.
+    /// The distance at flat index `idx` (= `dst * n + src`), `u32::MAX`
+    /// when unreachable.
     #[inline]
-    pub(crate) fn hop_dist(&self, idx: usize) -> (u32, u32) {
+    pub(crate) fn dist(&self, idx: usize) -> u32 {
         match self {
-            Cells::Compact(v) => (v[idx].hop(), v[idx].dist()),
-            Cells::Wide(v) => (v[idx].hop(), v[idx].dist()),
+            Cells::Compact(v) => v[idx].dist(),
+            Cells::Wide(v) => v[idx].dist(),
+        }
+    }
+
+    /// The link toward the row's root at flat index `idx`, decoded
+    /// through `csr`, the CSR the table was built over.
+    #[inline]
+    pub(crate) fn link(&self, csr: &Csr, idx: usize) -> Option<Link> {
+        match self {
+            Cells::Compact(v) => decode_link(csr, v[idx]),
+            Cells::Wide(v) => decode_link(csr, v[idx]),
         }
     }
 }
@@ -498,7 +557,11 @@ impl RoutingTable {
                 }
             })
             .collect();
-        RoutingTable { n, cells }
+        RoutingTable {
+            n,
+            cells,
+            graph: graph.clone(),
+        }
     }
 
     /// The packed cell at `(src, dst)` after validating both endpoints.
@@ -520,9 +583,16 @@ impl RoutingBackend for RoutingTable {
         self.n
     }
 
-    fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
+    fn try_next_link(&self, src: NodeId, dst: NodeId) -> Result<Option<Link>, Error> {
         let hop = self.cell(src, dst)?.hop();
-        Ok((src != dst && hop != NO_HOP).then(|| NodeId::new(hop)))
+        Ok((src != dst && hop != NO_HOP).then(|| {
+            let next = NodeId::new(hop);
+            let edge = self
+                .graph
+                .edge_between(src, next)
+                .expect("next hop is adjacent");
+            (next, edge)
+        }))
     }
 
     fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {
@@ -639,9 +709,9 @@ mod tests {
     fn path_edges_match_path() {
         let g = generators::ring(8).unwrap();
         let rt = RoutingTable::shortest_paths_serial(&g);
-        let edges = rt.path_edges(&g, 0.into(), 3.into());
+        let edges = rt.path_edges(0.into(), 3.into());
         assert_eq!(edges.len(), 3);
-        assert!(rt.path_edges(&g, 2.into(), 2.into()).is_empty());
+        assert!(rt.path_edges(2.into(), 2.into()).is_empty());
     }
 
     #[test]
@@ -750,6 +820,22 @@ mod tests {
                 assert_agrees_with_oracle(&built, &oracle, &format!("{name} @ {threads} threads"));
             }
         }
+    }
+
+    #[test]
+    fn cell_width_follows_the_arc_count() {
+        let pool = ParallelConfig::new(1);
+        // 256 · 255 = 65,280 arcs index compact cells; 260 · 259 =
+        // 67,340 do not.
+        let width = |n| {
+            let csr = Csr::from_graph(&generators::full_mesh(n).unwrap());
+            match Cells::build(&csr, &pool) {
+                Cells::Compact(_) => "compact",
+                Cells::Wide(_) => "wide",
+            }
+        };
+        assert_eq!(width(256), "compact");
+        assert_eq!(width(260), "wide");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The differential routing-oracle suite.
 //!
 //! Every routing backend in the crate must return **bit-identical**
-//! next hops, distances, and paths to the original serial all-pairs
-//! construction ([`RoutingTable::shortest_paths_serial`]) — the oracle
-//! no optimization is allowed to touch. Under test here:
+//! next hops, links, distances, and paths to the original serial
+//! all-pairs construction ([`RoutingTable::shortest_paths_serial`]) —
+//! the oracle no optimization is allowed to touch. The oracle answers a
+//! link's edge from the graph's edge map, so the link check pins every
+//! backend's CSR link arrays against it. Under test here:
 //!
 //! * the two-level [`HierRouting`] composition, its core table built at
 //!   1 and 3 workers (packed cells, batched CSR kernel), and
@@ -57,8 +59,8 @@ fn backends_under_test(g: &Graph) -> Vec<(&'static str, Box<dyn RoutingBackend>)
     ]
 }
 
-/// Asserts oracle agreement on one ordered pair: next hop, distance,
-/// and (when `check_path`) the full hop-by-hop path.
+/// Asserts oracle agreement on one ordered pair: next hop, next link,
+/// distance, and (when `check_path`) the full hop-by-hop path.
 fn assert_pair_agrees(
     oracle: &RoutingTable,
     name: &str,
@@ -72,6 +74,11 @@ fn assert_pair_agrees(
         oracle.try_next_hop(s, d).unwrap(),
         hop,
         "{name}: next_hop({s}, {d}) diverged"
+    );
+    assert_eq!(
+        oracle.try_next_link(s, d).unwrap(),
+        backend.try_next_link(s, d).unwrap(),
+        "{name}: next_link({s}, {d}) diverged"
     );
     let dist = backend.try_distance(s, d).unwrap();
     assert_eq!(
@@ -242,6 +249,16 @@ fn large_subnet_world_matches_oracle_on_sampled_pairs() {
         .unwrap();
     assert_eq!(topo.graph.node_count(), 2048);
     assert_sampled_pairs_agree(&topo.graph, 1500);
+}
+
+/// A core with more arcs than compact cells can index (`full_mesh(260)`
+/// has 67,340), so hier's core table falls back to wide cells; swept on
+/// sampled pairs.
+#[test]
+fn dense_core_beyond_compact_cells_matches_oracle_on_sampled_pairs() {
+    let g = generators::full_mesh(260).unwrap();
+    assert_eq!(2 * g.edge_count(), 67_340);
+    assert_sampled_pairs_agree(&g, 600);
 }
 
 /// A large flat power-law graph (nothing peels; hier core == graph)
