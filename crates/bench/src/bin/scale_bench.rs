@@ -48,27 +48,10 @@
 //! hier case on the n ≈ 10k subnet world against the recorded row
 //! under `--tolerance`, and fails if lazy and hier stopped being
 //! bit-identical on a subnet world.
-//!
-//! `--shard-bench FILE` runs the intra-world sharding axis: the busy
-//! n ≈ 100k subnet world is simulated by one child per shard count
-//! (1, 2, 4 — `DYNAQUAR_SHARDS` is what the children exercise, passed
-//! explicitly as `--shards`), the wall-clock speedup over the serial
-//! child is recorded together with the machine's honest hardware
-//! thread count, and an in-process serial-vs-4-shard bit-identity
-//! verdict rounds out the report (`results/BENCH_shard.json` in CI).
-//! A smaller n ≈ 10k check world is measured alongside so the CI guard
-//! has a cheap reference row.
-//!
-//! `--check-shard FILE` is the matching CI guard: the bit-identity
-//! clause runs unconditionally (sharding must be invisible on any
-//! machine); the speedup clause re-measures the n ≈ 10k check world at
-//! 1 and 4 shards against the recorded row under `--tolerance`, and
-//! only when the machine actually has ≥ 4 hardware threads — on
-//! smaller machines it is reported as skipped, never silently passed.
 
 use dynaquar_netsim::config::{SimConfig, WormBehavior};
 use dynaquar_netsim::sim::Simulator;
-use dynaquar_netsim::{ShardSpec, World};
+use dynaquar_netsim::World;
 use dynaquar_topology::generators;
 use dynaquar_topology::lazy::RoutingKind;
 use std::path::PathBuf;
@@ -99,12 +82,6 @@ struct Args {
     /// `--subnet B,S,H`: build a hierarchical subnet world instead of
     /// the Barabási–Albert graph (child mode for the routing bench).
     subnet: Option<(usize, usize, usize)>,
-    /// `--shards N`: pin the intra-world shard count (child mode for
-    /// the shard bench; also keeps the immunization sweep live so the
-    /// sharded hash path is on the clock).
-    shards: Option<u32>,
-    shard_bench: Option<PathBuf>,
-    check_shard: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -126,9 +103,6 @@ fn parse_args() -> Result<Args, String> {
         routing_bench: None,
         check_routing: None,
         subnet: None,
-        shards: None,
-        shard_bench: None,
-        check_shard: None,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -172,9 +146,6 @@ fn parse_args() -> Result<Args, String> {
             "--check-routing" => {
                 args.check_routing = Some(PathBuf::from(value("--check-routing")?))
             }
-            "--shards" => args.shards = Some(value("--shards")?.parse().map_err(|e| format!("{e}"))?),
-            "--shard-bench" => args.shard_bench = Some(PathBuf::from(value("--shard-bench")?)),
-            "--check-shard" => args.check_shard = Some(PathBuf::from(value("--check-shard")?)),
             "--subnet" => {
                 let spec = value("--subnet")?;
                 let parts: Vec<usize> = spec
@@ -191,8 +162,7 @@ fn parse_args() -> Result<Args, String> {
                      [--initial I] [--beta B] [--dense-limit N] [--full] \
                      [--cache N] [--out FILE] [--check FILE] [--tolerance PCT] \
                      [--smoke N --max-rss-mb MB] \
-                     [--routing-bench FILE] [--check-routing FILE] [--subnet B,S,H] \
-                     [--shard-bench FILE] [--check-shard FILE] [--shards N]"
+                     [--routing-bench FILE] [--check-routing FILE] [--subnet B,S,H]"
                     .to_string())
             }
             other => return Err(format!("unknown argument {other}")),
@@ -240,7 +210,6 @@ fn routing_kind(backend: &str, hosts: usize, cache: Option<usize>) -> Result<Rou
 struct CaseResult {
     hosts: usize,
     backend: String,
-    shards: Option<u32>,
     build_secs: f64,
     run_secs: f64,
     host_ticks_per_sec: f64,
@@ -251,18 +220,13 @@ struct CaseResult {
 
 impl CaseResult {
     fn to_json_row(&self) -> String {
-        let shards = self
-            .shards
-            .map(|k| format!("\"shards\": {k}, "))
-            .unwrap_or_default();
         format!(
-            "{{\"hosts\": {}, \"backend\": \"{}\", {}\
+            "{{\"hosts\": {}, \"backend\": \"{}\", \
              \"build_secs\": {:.4}, \
              \"run_secs\": {:.4}, \"host_ticks_per_sec\": {:.1}, \"peak_rss_mb\": {:.1}, \
              \"ever_infected_hosts\": {}, \"delivered_packets\": {}}}",
             self.hosts,
             self.backend,
-            shards,
             self.build_secs,
             self.run_secs,
             self.host_ticks_per_sec,
@@ -308,23 +272,12 @@ fn run_case(
     };
     let build_secs = t0.elapsed().as_secs_f64();
     let host_count = world.hosts().len();
-    let mut builder = SimConfig::builder();
-    builder
+    let config = SimConfig::builder()
         .beta(args.beta)
         .horizon(args.horizon)
-        .initial_infected(args.initial);
-    if let Some(shards) = args.shards {
-        // Shard-bench cases keep the delayed-immunization sweep live so
-        // the sharded per-(tick, host) hash path is on the clock, not
-        // just the scan sweep.
-        builder.shards(ShardSpec::Fixed(shards)).immunization(
-            dynaquar_netsim::config::ImmunizationConfig {
-                trigger: dynaquar_netsim::config::ImmunizationTrigger::AtTick(10),
-                mu: 0.02,
-            },
-        );
-    }
-    let config = builder.build().expect("valid config");
+        .initial_infected(args.initial)
+        .build()
+        .expect("valid config");
     let t1 = Instant::now();
     let result = Simulator::new(&world, &config, WormBehavior::random(), args.seed).run();
     (build_secs, t1.elapsed().as_secs_f64(), host_count, result)
@@ -337,7 +290,6 @@ fn run_single(hosts: usize, backend: &str, args: &Args) -> Result<(), String> {
     let row = CaseResult {
         hosts,
         backend: backend.to_string(),
-        shards: args.shards,
         build_secs,
         run_secs,
         host_ticks_per_sec: hosts as f64 * args.horizon as f64 / run_secs.max(1e-9),
@@ -370,9 +322,6 @@ fn spawn_case(hosts: usize, backend: &str, args: &Args) -> Result<String, String
     }
     if let Some((b, s, h)) = args.subnet {
         cmd.arg("--subnet").arg(format!("{b},{s},{h}"));
-    }
-    if let Some(shards) = args.shards {
-        cmd.arg("--shards").arg(shards.to_string());
     }
     let out = cmd.output().map_err(|e| format!("spawn: {e}"))?;
     std::io::Write::write_all(&mut std::io::stderr(), &out.stderr).ok();
@@ -591,239 +540,6 @@ fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
     write_report(out, json, identical)
 }
 
-/// The shard bench's main world: the busy n ≈ 100k hierarchical subnet
-/// topology (100,000 hosts behind 400 subnet routers), big enough that
-/// every sharded sweep is far above its engagement threshold.
-const SHARD_WORLD: (usize, usize, usize) = (32, 400, 250);
-
-/// The cheap n ≈ 10k reference world measured alongside, so the CI
-/// guard can re-measure shard speedup without paying for 100k hosts.
-const SHARD_CHECK_WORLD: (usize, usize, usize) = (8, 40, 250);
-
-/// Shard counts the bench sweeps; children run `--shards k` explicitly
-/// (the same knob `DYNAQUAR_SHARDS` sets for everything else).
-const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
-
-/// Busier-than-default epidemic for the shard cases: enough initial
-/// infections that the scan sweep crosses its 256-scanner sharding
-/// threshold within a few ticks.
-fn shard_case_args(args: &Args, world: (usize, usize, usize)) -> Args {
-    let mut sub = args.clone();
-    sub.subnet = Some(world);
-    sub.beta = 0.5;
-    sub.initial = 400;
-    sub
-}
-
-/// The machine's honest hardware thread count — recorded verbatim in
-/// `BENCH_shard.json` so a flat speedup column on a small machine reads
-/// as a hardware ceiling, not an engine regression.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-
-/// In-process differential: a serial and a 4-shard run of the same
-/// n = 4044 subnet world must produce `==` SimResults. The world is
-/// small enough to be quick but crosses the 256-scanner threshold, so
-/// the sharded stage-A sweep genuinely runs.
-fn shards_bit_identical(args: &Args) -> bool {
-    let mut sub = args.clone();
-    sub.subnet = Some((4, 40, 100));
-    sub.beta = 0.8;
-    sub.initial = 50;
-    let n = 4 + 40 * 101;
-    let mut serial = sub.clone();
-    serial.shards = Some(1);
-    let mut sharded = sub;
-    sharded.shards = Some(4);
-    let (_, _, _, a) = run_case(n, RoutingKind::Hier, &serial);
-    let (_, _, _, b) = run_case(n, RoutingKind::Hier, &sharded);
-    a == b
-}
-
-/// Spawns the shard-count sweep for one subnet world and returns the
-/// rows plus per-count speedups over the serial child. `rows_identical`
-/// reports whether every child's result projections matched the serial
-/// ones — a cross-process identity check on top of the in-process one.
-#[allow(clippy::type_complexity)]
-fn spawn_shard_sweep(
-    world: (usize, usize, usize),
-    args: &Args,
-) -> Result<(Vec<String>, Vec<(u32, f64)>, bool), String> {
-    let (b, s, h) = world;
-    let n = b + s * (h + 1);
-    let sub = shard_case_args(args, world);
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut serial_secs = f64::NAN;
-    let mut serial_projection = (f64::NAN, f64::NAN);
-    let mut rows_identical = true;
-    for k in SHARD_COUNTS {
-        let mut child = sub.clone();
-        child.shards = Some(k);
-        let row = spawn_case(n, "hier", &child)?;
-        println!("  {row}");
-        let run_secs = json_f64(&row, "run_secs").unwrap_or(f64::NAN);
-        let ever = json_f64(&row, "ever_infected_hosts").unwrap_or(f64::NAN);
-        let delivered = json_f64(&row, "delivered_packets").unwrap_or(f64::NAN);
-        if k == 1 {
-            serial_secs = run_secs;
-            serial_projection = (ever, delivered);
-        } else {
-            rows_identical &= serial_projection == (ever, delivered);
-        }
-        let speedup = serial_secs / run_secs.max(1e-9);
-        if k > 1 {
-            println!("  n={n} shards={k}: speedup {speedup:.2}x over the serial child");
-        }
-        speedups.push((k, speedup));
-        rows.push(row);
-    }
-    Ok((rows, speedups, rows_identical))
-}
-
-/// The `--shard-bench` mode: the intra-world sharding axis on the busy
-/// n ≈ 100k subnet world plus the n ≈ 10k reference, an in-process
-/// bit-identity verdict, and the honest hardware thread count.
-fn run_shard_bench(out: &std::path::Path, args: &Args) -> ExitCode {
-    let hw = hardware_threads();
-    println!(
-        "shard benchmark: subnet worlds {SHARD_WORLD:?} and {SHARD_CHECK_WORLD:?}, \
-         shard counts {SHARD_COUNTS:?}, horizon {}, seed {}, {} hardware thread(s)",
-        args.horizon, args.seed, hw
-    );
-    if hw < *SHARD_COUNTS.last().unwrap() as usize {
-        println!(
-            "note: fewer hardware threads than shards — speedups below record the \
-             hardware ceiling, not the engine's scaling"
-        );
-    }
-    let (mut rows, speedups, main_identical) = match spawn_shard_sweep(SHARD_WORLD, args) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (check_rows, check_speedups, check_identical) =
-        match spawn_shard_sweep(SHARD_CHECK_WORLD, args) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-    rows.extend(check_rows);
-    let check_speedup_at_4 = check_speedups
-        .iter()
-        .find(|(k, _)| *k == 4)
-        .map_or(f64::NAN, |(_, x)| *x);
-
-    let identical = main_identical && check_identical && shards_bit_identical(args);
-    println!(
-        "serial vs 4-shard sweeps: {}",
-        if identical { "bit-identical" } else { "DIVERGED" }
-    );
-
-    let (b, s, h) = SHARD_WORLD;
-    let (cb, cs, ch) = SHARD_CHECK_WORLD;
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"intra_world_sharding\",\n");
-    json.push_str("  \"topology\": \"subnet(backbone, subnets, hosts_per_subnet)\",\n");
-    json.push_str(&format!("  \"world\": [{b}, {s}, {h}],\n"));
-    json.push_str(&format!("  \"check_world\": [{cb}, {cs}, {ch}],\n"));
-    json.push_str(&format!("  \"hardware_threads\": {hw},\n"));
-    json.push_str(&format!("  \"horizon\": {},\n", args.horizon));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str("  \"beta\": 0.5,\n  \"initial_infected\": 400,\n");
-    json.push_str(&format!("  \"shards_bit_identical\": {identical},\n"));
-    json.push_str("  \"speedups\": [");
-    json.push_str(
-        &speedups
-            .iter()
-            .map(|(k, x)| format!("{{\"shards\": {k}, \"speedup\": {x:.2}}}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("],\n");
-    json.push_str(&format!(
-        "  \"check_speedup_at_4\": {check_speedup_at_4:.2},\n"
-    ));
-    json.push_str("  \"cases\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    write_report(out, json, identical)
-}
-
-/// The `--check-shard` CI guard: bit-identity unconditionally, shard
-/// speedup on the reference world only where the hardware can show it.
-fn run_check_shard(baseline_path: &std::path::Path, args: &Args) -> ExitCode {
-    if !shards_bit_identical(args) {
-        eprintln!("REGRESSION: serial and 4-shard sweeps diverged on the n=4044 subnet world");
-        return ExitCode::FAILURE;
-    }
-    println!("serial and 4-shard sweeps bit-identical on the n=4044 subnet world");
-
-    let hw = hardware_threads();
-    if hw < 4 {
-        println!("speedup clause skipped: 4 shards need 4 hardware threads, machine has {hw}");
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(recorded) = json_f64(&text, "check_speedup_at_4") else {
-        eprintln!(
-            "no check_speedup_at_4 in {} — regenerate with --shard-bench",
-            baseline_path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let sub = shard_case_args(args, SHARD_CHECK_WORLD);
-    let (b, s, h) = SHARD_CHECK_WORLD;
-    let n = b + s * (h + 1);
-    let mut secs = [f64::NAN; 2];
-    for (i, k) in [1u32, 4].into_iter().enumerate() {
-        let mut child = sub.clone();
-        child.shards = Some(k);
-        match spawn_case(n, "hier", &child) {
-            Ok(row) => secs[i] = json_f64(&row, "run_secs").unwrap_or(f64::NAN),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let measured = secs[0] / secs[1].max(1e-9);
-    let pct = if recorded > 0.0 {
-        (1.0 - measured / recorded) * 100.0
-    } else {
-        0.0
-    };
-    println!(
-        "4-shard n={n}: speedup {measured:.2}x vs recorded {recorded:.2}x \
-         (slowdown {pct:+.1}%, tolerance {:.1}%)",
-        args.tolerance_pct
-    );
-    if pct > args.tolerance_pct {
-        eprintln!(
-            "REGRESSION: 4-shard speedup fell {pct:.1}% > {:.1}% tolerance",
-            args.tolerance_pct
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -870,17 +586,6 @@ fn main() -> ExitCode {
     // Routing-backend benchmark on hierarchical subnet worlds.
     if let Some(out) = args.routing_bench.clone() {
         return run_routing_bench(&out, &args);
-    }
-
-    // Intra-world sharding benchmark on the busy subnet world.
-    if let Some(out) = args.shard_bench.clone() {
-        return run_shard_bench(&out, &args);
-    }
-
-    // CI guard for the shard bench: bit-identity always, speedup where
-    // the hardware allows.
-    if let Some(baseline_path) = args.check_shard.clone() {
-        return run_check_shard(&baseline_path, &args);
     }
 
     // CI guard for the routing bench: hier n≈10k perf + bit-identity

@@ -1163,7 +1163,7 @@ fn as_positive_f64(v: &Value, field: &str) -> Result<f64, SpecError> {
 }
 
 /// `None` for JSON `null` / the string `"none"`, `Some` otherwise.
-fn optional<'a>(v: &'a Value) -> Option<&'a Value> {
+fn optional(v: &Value) -> Option<&Value> {
     match v {
         Value::Null => None,
         Value::Str(s) if s == "none" => None,

@@ -181,10 +181,8 @@ pub struct SimConfig {
     pub(crate) quarantine: Option<QuarantineConfig>,
     pub(crate) background: Option<BackgroundTraffic>,
     pub(crate) log_scans: bool,
-    /// Intra-run shard count ([`ShardSpec::Auto`] resolves against
-    /// [`crate::shard::SHARDS_ENV`] at simulator construction). A pure
-    /// performance knob: results are bit-identical for any shard count,
-    /// so it is excluded from the snapshot config fingerprint.
+    /// The recorded shard count ([`ShardSpec`]). It has no effect on
+    /// the run, so it is excluded from the snapshot config fingerprint.
     #[serde(default)]
     pub(crate) shards: ShardSpec,
     #[serde(skip)]
@@ -236,15 +234,13 @@ impl SimConfig {
         self.log_scans
     }
 
-    /// The configured intra-run shard count (possibly still
-    /// [`ShardSpec::Auto`]).
+    /// The recorded shard count (possibly still [`ShardSpec::Auto`]).
     pub fn shards(&self) -> ShardSpec {
         self.shards
     }
 
-    /// Returns this configuration with `shards` swapped in — handy for
-    /// differential tests that run one scenario under several shard
-    /// counts.
+    /// Returns this configuration with `shards` recorded in place of
+    /// the current count; the run it configures is unchanged.
     pub fn with_shards(mut self, shards: ShardSpec) -> Self {
         self.shards = shards;
         self
@@ -386,10 +382,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Picks the intra-run shard count (default [`ShardSpec::Auto`]:
-    /// the `DYNAQUAR_SHARDS` override, else 1). Sharded sweeps are
-    /// bit-identical to the serial path for any count, so this is
-    /// purely a performance knob.
+    /// Records a shard count (default [`ShardSpec::Auto`]). The engine
+    /// sweeps every phase serially, so no value changes the run.
     pub fn shards(&mut self, shards: ShardSpec) -> &mut Self {
         self.shards = shards;
         self

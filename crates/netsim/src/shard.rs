@@ -1,43 +1,22 @@
-//! Intra-world sharding: the shard-count knob and the deterministic
-//! host partition.
+//! The shard-count record.
 //!
-//! Sharding is a **pure performance knob**: the engine's sharded sweeps
-//! produce bit-identical `SimResult`s, ledgers, and observer streams
-//! for any shard count (including 1, the serial path), because
-//!
-//! * every shard covers a *contiguous node-id range*, and shards are
-//!   merged in ascending shard id — which is exactly ascending host id,
-//!   the order the serial engine sweeps in;
-//! * all per-host randomness is shard-independent (per-host scan
-//!   streams, stateless immunization hashes — see `netsim::streams`),
-//!   so which thread evaluates a host cannot perturb any draw.
-//!
-//! The partition therefore only decides *load balance*, never results:
-//! cut points split the sorted host list into near-equal segments and,
-//! when the world carries subnet membership, snap forward to the next
-//! subnet boundary so one subnet's hosts (and their mostly-local scan
-//! traffic) stay on one shard.
+//! The engine sweeps every phase of a world serially, in ascending
+//! host id, on the caller's thread. [`ShardSpec`] is kept as an inert
+//! record: configs, scenarios and daemon specs still accept, validate
+//! and round-trip a shard count (old ledgers carry the `"shards"` key,
+//! and benchmarks report the resolved value), but no value changes
+//! what a run computes or starts a thread.
 
-use crate::world::World;
-use dynaquar_parallel::{env_override, EnvParse};
 use serde::{Deserialize, Serialize};
 
-/// Environment variable consulted by [`ShardSpec::Auto`]: a positive
-/// integer forces that many shards for every Auto-configured run (the
-/// CI shard matrix re-runs the whole suite under `DYNAQUAR_SHARDS=4`
-/// this way). Unset, empty, or `auto` falls back to 1 shard — sharding
-/// is opt-in because a sharded run spawns threads every tick, and the
-/// ensemble runner may already own every core. Any other value also
-/// falls back but emits a one-shot warning naming the bad value.
-pub const SHARDS_ENV: &str = "DYNAQUAR_SHARDS";
-
-/// How many shards one simulation run sweeps its world with.
+/// A run's shard count: accepted, validated and reported, with no
+/// effect on the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ShardSpec {
-    /// Defer to [`SHARDS_ENV`] when set, else 1 (serial).
+    /// No count requested; resolves to 1.
     #[default]
     Auto,
-    /// Exactly this many shards (clamped to at least 1).
+    /// This many shards (clamped to at least 1 on resolution).
     Fixed(u32),
 }
 
@@ -46,20 +25,7 @@ impl ShardSpec {
     pub fn resolve(self) -> u32 {
         match self {
             ShardSpec::Fixed(n) => n.max(1),
-            ShardSpec::Auto => env_override(
-                SHARDS_ENV,
-                "a positive shard count or \"auto\" (falling back to 1 shard)",
-                |v| {
-                    if v.eq_ignore_ascii_case("auto") {
-                        return EnvParse::Default;
-                    }
-                    match v.parse::<u32>() {
-                        Ok(n) if n >= 1 => EnvParse::Value(n),
-                        _ => EnvParse::Invalid,
-                    }
-                },
-            )
-            .unwrap_or(1),
+            ShardSpec::Auto => 1,
         }
     }
 }
@@ -88,64 +54,15 @@ impl std::str::FromStr for ShardSpec {
     }
 }
 
-/// Computes the node-id cut points of a `shards`-way partition of
-/// `world`'s hosts: `cuts.len() == shards + 1`, `cuts[0] == 0`,
-/// `cuts[shards] == node_count`, nondecreasing. Shard `k` owns node ids
-/// `cuts[k]..cuts[k+1]` — host segments are near-equal by host count
-/// and snapped forward to subnet boundaries where the world has them.
-///
-/// Every property of the partition is a pure function of
-/// `(world, shards)` — but nothing downstream depends on that: the cut
-/// points steer only which thread sweeps which range, and sweeps are
-/// merged in ascending range order.
-pub(crate) fn shard_cuts(world: &World, shards: u32) -> Vec<u32> {
-    let n = world.graph().node_count() as u32;
-    let hosts = world.hosts();
-    let shards = (shards.max(1) as usize).min(hosts.len().max(1));
-    let subnet_of = world.subnet_of();
-    let mut cuts = Vec::with_capacity(shards + 1);
-    cuts.push(0u32);
-    for k in 1..shards {
-        // Ideal split by host count, then advance past any hosts that
-        // share the boundary host's subnet (subnet host blocks are
-        // contiguous in id space on the hierarchical generator's
-        // worlds, so this keeps whole subnets on one shard).
-        let mut t = k * hosts.len() / shards;
-        while t > 0 && t < hosts.len() {
-            let here = subnet_of[hosts[t].index()];
-            let prev = subnet_of[hosts[t - 1].index()];
-            if here.is_none() || here != prev {
-                break;
-            }
-            t += 1;
-        }
-        let cut = if t >= hosts.len() {
-            n
-        } else {
-            crate::soa::idx32(hosts[t].index())
-        };
-        // Snapping can only move cuts forward; keep them nondecreasing.
-        let floor = *cuts.last().expect("cuts start non-empty");
-        cuts.push(cut.max(floor));
-    }
-    cuts.push(n);
-    cuts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynaquar_topology::generators;
 
     #[test]
     fn resolve_clamps_and_defaults() {
         assert_eq!(ShardSpec::Fixed(0).resolve(), 1);
         assert_eq!(ShardSpec::Fixed(4).resolve(), 4);
-        // Only exercise the Auto default when the CI matrix has not
-        // pinned the variable for the whole process.
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(ShardSpec::Auto.resolve(), 1);
-        }
+        assert_eq!(ShardSpec::Auto.resolve(), 1);
     }
 
     #[test]
@@ -157,67 +74,5 @@ mod tests {
         for s in [ShardSpec::Auto, ShardSpec::Fixed(3)] {
             assert_eq!(s.to_string().parse::<ShardSpec>().unwrap(), s);
         }
-    }
-
-    #[test]
-    fn cuts_cover_the_world_and_are_monotone() {
-        let w = World::from_star(generators::star(499).unwrap());
-        for shards in [1u32, 2, 3, 8, 500] {
-            let cuts = shard_cuts(&w, shards);
-            assert_eq!(cuts[0], 0);
-            assert_eq!(*cuts.last().unwrap(), w.graph().node_count() as u32);
-            assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "non-monotone cuts");
-            // Every host falls in exactly one range by construction of
-            // a sorted cut list; check the host counts roughly balance
-            // (no subnet snapping on a star).
-            let mut seen = 0usize;
-            for pair in cuts.windows(2) {
-                seen += w
-                    .hosts()
-                    .iter()
-                    .filter(|h| (pair[0]..pair[1]).contains(&(h.index() as u32)))
-                    .count();
-            }
-            assert_eq!(seen, w.hosts().len());
-        }
-    }
-
-    #[test]
-    fn subnet_worlds_snap_cuts_to_subnet_boundaries() {
-        let topo = generators::SubnetTopologyBuilder::new()
-            .backbone_routers(4)
-            .subnets(10)
-            .hosts_per_subnet(25)
-            .build()
-            .unwrap();
-        let w = World::from_subnets(topo);
-        let cuts = shard_cuts(&w, 4);
-        for &cut in &cuts[1..cuts.len() - 1] {
-            // The host right below a cut and the host at/above it must
-            // not share a subnet.
-            let below = w
-                .hosts()
-                .iter()
-                .rev()
-                .find(|h| (h.index() as u32) < cut)
-                .map(|h| w.subnet_of()[h.index()]);
-            let at = w
-                .hosts()
-                .iter()
-                .find(|h| (h.index() as u32) >= cut)
-                .map(|h| w.subnet_of()[h.index()]);
-            if let (Some(Some(b)), Some(Some(a))) = (below, at) {
-                assert_ne!(b, a, "cut {cut} splits a subnet");
-            }
-        }
-    }
-
-    #[test]
-    fn more_shards_than_hosts_degrades_gracefully() {
-        let w = World::from_star(generators::star(3).unwrap());
-        let cuts = shard_cuts(&w, 64);
-        assert!(cuts.len() <= w.hosts().len() + 1);
-        assert_eq!(cuts[0], 0);
-        assert_eq!(*cuts.last().unwrap(), w.graph().node_count() as u32);
     }
 }

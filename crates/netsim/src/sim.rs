@@ -30,10 +30,10 @@
 //! rather than `O(hosts)`. Every index is sorted by node id, so each
 //! phase visits its candidates in ascending host order, and every
 //! per-host draw comes from that host's own stream or a stateless hash
-//! of `(seed, tick, host)` (see `netsim::streams`): which hosts are
-//! skipped, and which shard visits which host, cannot perturb any draw.
-//! The engine fingerprints (`tests/engine_fingerprints.rs`) pin the
-//! results.
+//! of `(seed, tick, host)` (see `netsim::streams`): skipping an
+//! inactive host cannot shift another host's draws. The engine
+//! fingerprints (`tests/engine_fingerprints.rs`) pin the results, and
+//! with them these streams.
 
 use crate::background::BackgroundStats;
 use crate::config::{CheckpointPolicy, ImmunizationTrigger, SimConfig, WormBehavior};
@@ -49,7 +49,6 @@ use crate::soa::NodeState;
 use crate::streams::{host_stream_seed, immunization_u01};
 use crate::world::World;
 use dynaquar_epidemic::TimeSeries;
-use dynaquar_parallel::join_parts;
 use dynaquar_ratelimit::window::UniqueIpWindow;
 use dynaquar_ratelimit::{RateLimiter, RemoteKey};
 use dynaquar_topology::NodeId;
@@ -58,14 +57,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
-
-/// Work-size floors below which the sharded sweeps fall back to the
-/// serial path: spawning the shard threads costs tens of microseconds
-/// per tick, which only pays off once a phase has real work. Pure
-/// performance gates — the sharded and serial paths are bit-identical
-/// either way, so the thresholds never affect results.
-const SHARD_MIN_SCANNERS: usize = 256;
-const SHARD_MIN_UNPATCHED: usize = 4096;
 
 /// Aggregate outcome of one simulation run.
 ///
@@ -162,9 +153,8 @@ pub struct Simulator<'w> {
     /// Per-host scan RNG streams, `Some` exactly where `selectors` is:
     /// each infected host draws its targets and β coin-flips from its
     /// own stream (seeded from `(seed, host)` at infection time — see
-    /// [`crate::streams`]), so which thread sweeps a host, and in what
-    /// company, cannot perturb any draw. This is the property that
-    /// makes the sharded scan sweep bit-identical to the serial one.
+    /// [`crate::streams`]), so which other hosts scan, or are skipped,
+    /// cannot perturb any draw.
     scan_rngs: Vec<Option<SmallRng>>,
     host_filter_cfg: Vec<Option<HostFilter>>,
     host_limiters: Vec<Option<UniqueIpWindow>>,
@@ -212,11 +202,6 @@ pub struct Simulator<'w> {
     delay_queues: Vec<VecDeque<(u64, NodeId)>>,
     quarantined: u64,
     scan_log: Vec<(u64, NodeId, NodeId)>,
-    /// Shard partition cut points over node-id space
-    /// (`shard_cuts.len() - 1` shards; `[0, n]` when serial) — see
-    /// [`crate::shard::shard_cuts`]. A pure performance knob: results
-    /// are bit-identical for any shard count.
-    shard_cuts: Vec<u32>,
     /// Hosts with a non-empty throttle queue, sorted ascending — the
     /// release/clear candidates. Maintained by every queue mutation
     /// (push, drain, clear).
@@ -403,7 +388,6 @@ impl<'w> Simulator<'w> {
             delay_queues: vec![VecDeque::new(); n],
             quarantined: 0,
             scan_log: Vec::new(),
-            shard_cuts: crate::shard::shard_cuts(world, config.shards().resolve()),
             queue_hosts: BTreeSet::new(),
             pending_hosts: BTreeSet::new(),
             patch_due,
@@ -467,7 +451,7 @@ impl<'w> Simulator<'w> {
             // obligation behind skipping inactive hosts.
             self.host_state.debug_assert_active_index();
             // Every active host carries both a selector and its own
-            // scan stream (the sharded sweep unwraps both).
+            // scan stream (the scan sweep unwraps both).
             for i in self.host_state.active_hosts() {
                 debug_assert!(
                     self.selectors[i as usize].is_some(),
@@ -683,37 +667,14 @@ impl<'w> Simulator<'w> {
         // ascending order, so the sweep costs O(unpatched) instead of
         // the former O(hosts) carve-out — and because the draw is a
         // pure function of (seed, tick, host) rather than a shared RNG
-        // stream, any shard may evaluate any host without perturbing
-        // the others.
+        // stream, hosts the index skips cannot shift anyone's verdict.
         let mu = imm.mu;
         let seed = self.seed;
-        let shards = self.shard_cuts.len() - 1;
-        let mut hits: Vec<u32> = Vec::new();
-        if shards > 1 && self.host_state.unpatched() >= SHARD_MIN_UNPATCHED {
-            let mut parts: Vec<(std::ops::Range<u32>, Vec<u32>)> = self
-                .shard_cuts
-                .windows(2)
-                .map(|w| (w[0]..w[1], Vec::new()))
-                .collect();
-            let host_state = &self.host_state;
-            join_parts(&mut parts, |_, (range, out)| {
-                for h in host_state.unpatched_hosts_in(range.clone()) {
-                    if immunization_u01(seed, tick, h) < mu {
-                        out.push(h);
-                    }
-                }
-            });
-            // Ascending shard ranges concatenate to ascending host ids.
-            for (_, out) in parts {
-                hits.extend(out);
-            }
-        } else {
-            hits.extend(
-                self.host_state
-                    .unpatched_hosts()
-                    .filter(|&h| immunization_u01(seed, tick, h) < mu),
-            );
-        }
+        let hits: Vec<u32> = self
+            .host_state
+            .unpatched_hosts()
+            .filter(|&h| immunization_u01(seed, tick, h) < mu)
+            .collect();
         for h in hits {
             let i = h as usize;
             self.host_state.immunize_unpatched(i);
@@ -724,10 +685,10 @@ impl<'w> Simulator<'w> {
     }
 
     fn generate_scans(&mut self, tick: u64, observer: &mut dyn SimObserver) {
-        // Stage A: collect `(scanner, target)` emissions — serial or
-        // sharded, always in ascending scanner order. Stage B below
-        // (ledger, filters, quarantine, packet insertion) stays serial:
-        // it is cheap per emission and order-sensitive by design.
+        // Stage A: collect `(scanner, target)` emissions in ascending
+        // scanner order. Stage B below (ledger, filters, quarantine,
+        // packet insertion) applies them in that order: it is
+        // order-sensitive by design.
         let emissions = self.collect_scan_emissions();
         for (src, dst) in emissions {
             // Every post-β emission enters the ledger, *before* the
@@ -821,15 +782,9 @@ impl<'w> Simulator<'w> {
     }
 
     /// Collects this tick's `(scanner, target)` emissions in ascending
-    /// scanner id order. The serial path (sorted active index) and the
-    /// sharded path (per-range sweeps merged in range order) visit the
-    /// same scanners in the same order, and every per-host draw comes
-    /// from that host's own stream, so the two are bit-identical.
+    /// scanner id order (the sorted active index); every per-host draw
+    /// comes from that host's own stream.
     fn collect_scan_emissions(&mut self) -> Vec<(NodeId, NodeId)> {
-        let shards = self.shard_cuts.len() - 1;
-        if shards > 1 && self.host_state.infected() >= SHARD_MIN_SCANNERS {
-            return self.collect_scan_emissions_sharded();
-        }
         let mut emissions: Vec<(NodeId, NodeId)> = Vec::new();
         let mut active = std::mem::take(&mut self.scratch_hosts);
         active.clear();
@@ -843,86 +798,6 @@ impl<'w> Simulator<'w> {
             self.scan_from(node, &mut emissions);
         }
         self.scratch_hosts = active;
-        emissions
-    }
-
-    /// The sharded stage-A sweep: each shard walks its own contiguous
-    /// node-id range of the active index with mutable views of exactly
-    /// its slice of the selector and scan-stream tables, then the
-    /// per-shard emission lists are concatenated in ascending range
-    /// order — which *is* ascending scanner order, the serial order.
-    fn collect_scan_emissions_sharded(&mut self) -> Vec<(NodeId, NodeId)> {
-        struct ShardPart<'a> {
-            /// Infected, not-down node ids in this shard's range, ascending.
-            candidates: Vec<u32>,
-            /// Node-id offset of the two slices below.
-            base: u32,
-            selectors: &'a mut [Option<Box<dyn TargetSelector>>],
-            rngs: &'a mut [Option<SmallRng>],
-            out: Vec<(NodeId, NodeId)>,
-        }
-
-        let world = self.world;
-        let scans_per_tick = self.behavior.scans_per_tick;
-        let beta = self.config.beta();
-        let mut parts: Vec<ShardPart<'_>> = Vec::with_capacity(self.shard_cuts.len() - 1);
-        {
-            let mut sel_rest: &mut [Option<Box<dyn TargetSelector>>] = &mut self.selectors;
-            let mut rng_rest: &mut [Option<SmallRng>] = &mut self.scan_rngs;
-            let mut offset = 0u32;
-            for w in self.shard_cuts.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                let (sel, s_rest) = sel_rest.split_at_mut((hi - offset) as usize);
-                let (rngs, r_rest) = rng_rest.split_at_mut((hi - offset) as usize);
-                sel_rest = s_rest;
-                rng_rest = r_rest;
-                let candidates: Vec<u32> = self
-                    .host_state
-                    .active_hosts_in(lo..hi)
-                    .filter(|&i| !self.node_down[i as usize])
-                    .collect();
-                parts.push(ShardPart {
-                    candidates,
-                    base: offset,
-                    selectors: sel,
-                    rngs,
-                    out: Vec::new(),
-                });
-                offset = hi;
-            }
-        }
-        join_parts(&mut parts, |_, part| {
-            let ctx_hosts = world.hosts();
-            let ctx_subnet_of = world.subnet_of();
-            let ctx_subnet_hosts = world.subnet_hosts();
-            for &i in &part.candidates {
-                let node = NodeId::from(i as usize);
-                let ctx = ScanContext {
-                    scanner: node,
-                    hosts: ctx_hosts,
-                    subnet_of: ctx_subnet_of,
-                    subnet_hosts: ctx_subnet_hosts,
-                };
-                let local = (i - part.base) as usize;
-                let selector = part.selectors[local]
-                    .as_mut()
-                    .expect("infected nodes have selectors");
-                let rng = part.rngs[local]
-                    .as_mut()
-                    .expect("infected nodes have scan streams");
-                for _ in 0..scans_per_tick {
-                    if let Some(target) = selector.next_target(&ctx, rng) {
-                        if target != node && rng.gen_bool(beta) {
-                            part.out.push((node, target));
-                        }
-                    }
-                }
-            }
-        });
-        let mut emissions = Vec::with_capacity(parts.iter().map(|p| p.out.len()).sum());
-        for part in parts {
-            emissions.extend(part.out);
-        }
         emissions
     }
 

@@ -9,7 +9,7 @@
 //! robustness contract is **bit-identity**: run to tick `T`, snapshot,
 //! resume, and the final [`SimResult`] *and* the concatenated observer
 //! JSONL are byte-identical to the uninterrupted run — under both
-//! routing backends, any thread count, and any shard count (see
+//! routing backends and any thread count (see
 //! `crates/netsim/tests/snapshot_equivalence.rs`).
 //!
 //! # On-disk format (version 3)
@@ -223,8 +223,8 @@ pub(crate) fn world_fingerprint(world: &World) -> u64 {
 
 /// Fingerprint of the simulated semantics of `(config, behavior)`.
 ///
-/// Deliberately excludes the shard count (a pure performance knob with
-/// bit-identical results, so resuming under a different one is
+/// Deliberately excludes the shard count (a recorded value with no
+/// effect on the run, so resuming under a different one is
 /// legitimate) and the checkpoint
 /// policy (where checkpoints land does not change what is simulated).
 /// `Debug` renderings are stable for the plain data these types hold.

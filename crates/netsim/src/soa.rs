@@ -143,31 +143,10 @@ impl HostStates {
         self.active.iter().copied()
     }
 
-    /// Currently infected nodes with index in `range`, ascending — the
-    /// per-shard view of [`HostStates::active_hosts`]. Concatenating
-    /// the shards' ranges in ascending shard order reproduces the full
-    /// iteration exactly.
-    pub fn active_hosts_in(&self, range: std::ops::Range<u32>) -> impl Iterator<Item = u32> + '_ {
-        self.active.range(range).copied()
-    }
-
     /// Not-yet-immunized end hosts in ascending index order — the
     /// immunization sweep's candidate set.
     pub fn unpatched_hosts(&self) -> impl Iterator<Item = u32> + '_ {
         self.unpatched.iter().copied()
-    }
-
-    /// Per-shard view of [`HostStates::unpatched_hosts`].
-    pub fn unpatched_hosts_in(
-        &self,
-        range: std::ops::Range<u32>,
-    ) -> impl Iterator<Item = u32> + '_ {
-        self.unpatched.range(range).copied()
-    }
-
-    /// Number of not-yet-immunized end hosts.
-    pub fn unpatched(&self) -> usize {
-        self.unpatched.len()
     }
 
     /// Cross-checks the active and unpatched indexes against the status
@@ -562,41 +541,19 @@ mod tests {
         // Node 2 is a router: never an immunization candidate.
         let hosts: Vec<NodeId> = [0u32, 1, 3, 4, 5].iter().map(|&i| NodeId::new(i)).collect();
         let mut h = HostStates::new(6, &hosts);
-        assert_eq!(h.unpatched(), 5);
         assert_eq!(h.unpatched_hosts().collect::<Vec<_>>(), vec![0, 1, 3, 4, 5]);
 
         // Infection does not patch anything.
         h.seed(0);
         assert!(h.infect(3, 1));
-        assert_eq!(h.unpatched(), 5);
+        assert_eq!(h.unpatched_hosts().count(), 5);
 
         h.quarantine(3);
         assert!(h.immunize_infected(0));
         assert!(h.immunize_if_susceptible(1));
         h.immunize_unpatched(4);
         assert_eq!(h.unpatched_hosts().collect::<Vec<_>>(), vec![5]);
-        assert_eq!(h.unpatched(), 1);
         h.debug_assert_active_index();
-
-        // Ranged views partition the full enumeration.
-        let lo: Vec<u32> = h.unpatched_hosts_in(0..3).collect();
-        let hi: Vec<u32> = h.unpatched_hosts_in(3..6).collect();
-        assert_eq!(lo, Vec::<u32>::new());
-        assert_eq!(hi, vec![5]);
-    }
-
-    #[test]
-    fn ranged_active_views_partition_the_full_iteration() {
-        let mut h = all_hosts(10);
-        for i in [1usize, 3, 4, 8] {
-            h.seed(i);
-        }
-        let full: Vec<u32> = h.active_hosts().collect();
-        let mut stitched = Vec::new();
-        for cut in [0u32..4, 4..7, 7..10] {
-            stitched.extend(h.active_hosts_in(cut));
-        }
-        assert_eq!(stitched, full);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Shard-independent random streams.
+//! Order-independent random streams.
 //!
-//! The sharded engine runs per-host work (target draws, immunization
-//! Bernoullis) on multiple threads inside one simulated world. That is
-//! only bit-identical to the serial engine if no random draw depends on
-//! *which other hosts* drew before it — a single shared RNG stream
-//! bakes the enumeration order into every value it hands out. The
+//! The engine visits only active hosts each tick (the sorted infected
+//! set, the unpatched index), so which hosts a phase touches changes
+//! from tick to tick. A single shared RNG stream would bake that
+//! enumeration into every value it hands out: one host skipped, or one
+//! extra host infected, would shift every later host's draws. The
 //! engine therefore derives all per-host randomness from the run seed
 //! through the mixers in this module:
 //!
@@ -12,19 +12,20 @@
 //!   [`host_stream_seed`] the moment it becomes infected. Every target
 //!   and β draw the host ever makes comes from that stream, so its draw
 //!   sequence is a pure function of `(seed, host)` — independent of
-//!   shard count, shard assignment, and the fates of other hosts.
+//!   the fates of other hosts and of which of them a phase skips.
 //! * **Immunization draws**: one *stateless* hash Bernoulli per
 //!   `(seed, tick, host)` via [`immunization_u01`]. No stream to
-//!   advance means no ordering constraint at all: shards can evaluate
-//!   their candidate ranges concurrently and the serial engine gets the
-//!   same verdicts enumerating ascending ids.
+//!   advance means no ordering constraint at all: the sweep can walk
+//!   only the unpatched hosts and still give each one the verdict a
+//!   full sweep would.
+//!
+//! The engine fingerprints (`tests/engine_fingerprints.rs`) are pinned
+//! on these streams, so changing a mixer or a salt re-pins them.
 //!
 //! The shared `Simulator::rng` stream survives only where ordering is
-//! inherently serial and shard-independent: seeding the initial
-//! infections at construction and injecting background flows (a serial
-//! phase). Fault draws stay on their own `fault_rng` stream, untouched
-//! — they happen in serial commit sections whose input order is already
-//! shard-invariant.
+//! inherently serial: seeding the initial infections at construction
+//! and injecting background flows. Fault draws stay on their own
+//! `fault_rng` stream, untouched.
 //!
 //! All mixing is SplitMix64 — the same finalizer `SmallRng::seed_from_u64`
 //! uses for state expansion, well past the statistical quality needed

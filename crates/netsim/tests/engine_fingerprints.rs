@@ -9,13 +9,13 @@
 //! digits round-trips every f64, so a match here is a bit-identity
 //! match.
 //!
-//! Re-pinned once for the sharding-ready RNG discipline: scan draws
-//! now come from per-host streams seeded at infection time and
+//! Re-pinned once for the order-independent RNG discipline: scan
+//! draws now come from per-host streams seeded at infection time and
 //! immunization draws from a stateless per-`(tick, host)` hash, so a
 //! host's randomness no longer depends on which other hosts exist or
-//! which shard sweeps it. The new values are the engine's permanent
-//! fingerprint — `DYNAQUAR_SHARDS` at any count must reproduce them
-//! bit for bit (CI runs this suite under a sharded leg).
+//! which of them a phase visits. The new values are the engine's
+//! permanent fingerprint — any thread count must reproduce them bit
+//! for bit (CI runs this suite under one and four worker threads).
 //!
 //! The pins were recorded on the tick-sweep engine and held by the
 //! event-driven engine bit for bit before the tick sweep was retired;
@@ -391,9 +391,8 @@ fn subnet_20k_is_bit_identical_across_routing() {
 /// An immunization-dominated run: µ kicks in at tick 2 on a ~6k-host
 /// subnet world, so nearly every tick sweeps thousands of unpatched
 /// hosts. This is the workload the O(hosts) immunization carve-out
-/// used to burn — the pin now rides on the sorted unpatched index
-/// (serial) and the per-shard hash evaluation (sharded CI leg), both
-/// of which must enumerate hits in ascending host id exactly.
+/// used to burn — the pin now rides on the sorted unpatched index,
+/// which must enumerate hits in ascending host id exactly.
 fn immunization_heavy_run() -> SimResult {
     let topo = generators::SubnetTopologyBuilder::new()
         .backbone_routers(8)

@@ -1,19 +1,17 @@
 //! One shared grammar for `DYNAQUAR_*` environment overrides.
 //!
-//! Every knob the simulator reads from the environment — worker count
-//! and shard count — used to parse its
-//! variable with its own ad-hoc code, and the warning behaviour on a
-//! typo'd value drifted between call sites. [`env_override`] is the one
-//! funnel: unset and empty values defer silently, values the caller
-//! maps to [`EnvParse::Default`] (like an explicit `auto`) defer
+//! Every knob the simulator reads from the environment (the worker
+//! count, [`THREADS_ENV`](crate::THREADS_ENV)) parses through
+//! [`env_override`]: unset and empty values defer silently, values the
+//! caller maps to [`EnvParse::Default`] (like an explicit `auto`) defer
 //! silently, and anything else earns exactly one process-wide warning
 //! per variable naming the rejected value before falling back — a typo
 //! must never silently change behaviour *without saying so*.
 //!
 //! The helper lives in this crate because it is the bottom of the
 //! dependency stack: [`ParallelConfig::from_env`](crate::ParallelConfig::from_env)
-//! and `dynaquar-netsim`'s shard spec both consume it, and `netsim::env`
-//! re-exports the full catalogue of variables for discoverability.
+//! consumes it, and `netsim::env` re-exports the full catalogue of
+//! variables for discoverability.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};

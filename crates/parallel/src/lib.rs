@@ -306,53 +306,6 @@ where
     (results, report)
 }
 
-/// Runs `f(part_index, &mut part)` over every part concurrently and
-/// returns only when **all** of them have finished — a fork/join
-/// barrier for intra-simulation sharding.
-///
-/// Where [`ordered_map`] parallelizes *across* independent simulations,
-/// `join_parts` parallelizes *inside* one: the engine splits a phase's
-/// mutable state into disjoint per-shard parts, fans the sweep out
-/// here, and merges the parts in ascending part order afterwards. The
-/// call itself is the tick barrier — nothing downstream of it can
-/// observe a partially swept phase.
-///
-/// Determinism contract: each invocation of `f` may depend only on
-/// `(part_index, part)` and shared immutable state. Under that contract
-/// the parts' contents after the join are bit-identical for any
-/// scheduling, so a caller that merges them in part order is
-/// bit-identical to running `f` serially in part order.
-///
-/// Zero or one parts never spawn a thread (the one part runs on the
-/// caller's stack), so a single-shard configuration stays on the
-/// serial path by construction. A panic in any part propagates to the
-/// caller after all threads unwind.
-pub fn join_parts<T, F>(parts: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    match parts {
-        [] => {}
-        [only] => f(0, only),
-        parts => {
-            let f = &f;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(index, part)| scope.spawn(move || f(index, part)))
-                    .collect();
-                for handle in handles {
-                    if let Err(payload) = handle.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,65 +381,8 @@ mod tests {
         assert!(caught.is_err());
     }
 
-    #[test]
-    fn join_parts_runs_every_part_exactly_once() {
-        let mut parts: Vec<(usize, u64)> = (0..9).map(|i| (usize::MAX, i)).collect();
-        join_parts(&mut parts, |index, part| {
-            part.0 = index;
-            part.1 = part.1.wrapping_mul(3) + 1;
-        });
-        for (i, part) in parts.iter().enumerate() {
-            assert_eq!(part.0, i, "part saw the wrong index");
-            assert_eq!(part.1, (i as u64).wrapping_mul(3) + 1);
-        }
-    }
-
-    #[test]
-    fn join_parts_handles_empty_and_singleton() {
-        let mut none: Vec<u64> = vec![];
-        join_parts(&mut none, |_, _| unreachable!());
-        let mut one = vec![41u64];
-        join_parts(&mut one, |index, part| {
-            assert_eq!(index, 0);
-            *part += 1;
-        });
-        assert_eq!(one, vec![42]);
-    }
-
-    #[test]
-    fn join_parts_panic_propagates() {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut parts = vec![0u64, 1, 2, 3];
-            join_parts(&mut parts, |_, part| {
-                if *part == 2 {
-                    panic!("injected");
-                }
-            });
-        }));
-        assert!(caught.is_err());
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The barrier's determinism contract: per-part results depend
-        /// only on (index, part), so any number of joins in any split
-        /// equals the serial sweep.
-        #[test]
-        fn join_parts_matches_serial_sweep(
-            items in prop::collection::vec(0u64..u64::MAX, 0..64),
-        ) {
-            let step = |i: usize, x: u64| {
-                let mut z = x ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            let expected: Vec<u64> =
-                items.iter().enumerate().map(|(i, &x)| step(i, x)).collect();
-            let mut parts = items;
-            join_parts(&mut parts, |i, x| *x = step(i, *x));
-            prop_assert_eq!(parts, expected);
-        }
 
         /// Bit-identical output for 1, 2, and 8 workers over arbitrary
         /// inputs — the determinism contract the netsim runner builds on.

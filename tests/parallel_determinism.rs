@@ -1,6 +1,6 @@
 //! Property tests for the deterministic parallel runner: thread count
-//! must never leak into results — and neither must the intra-world
-//! shard count.
+//! must never leak into results — and neither may the recorded shard
+//! count.
 //!
 //! The contract under test (see `dynaquar_netsim::runner`): because each
 //! seeded run derives all of its randomness from its own seed and results
@@ -25,8 +25,7 @@ use dynaquar::topology::generators;
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-/// Shard counts swept by the intra-world tests: serial, even splits,
-/// and a ragged count that cannot divide the subnet blocks evenly.
+/// Shard counts recorded by the shard-count tests below.
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 7];
 
 fn world() -> World {
@@ -163,15 +162,13 @@ fn dropped_runs_are_thread_count_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Intra-world sharding: DYNAQUAR_SHARDS splits a single world's phase
-// sweeps across cores, and the shard count must be as invisible as the
-// worker-thread count above — same SimResult, same observer bytes.
+// The shard count: configs, scenarios and daemon specs still record it,
+// and it must be as invisible as the worker-thread count above — same
+// SimResult, same observer bytes, also across snapshot/resume.
 // ---------------------------------------------------------------------
 
-/// A subnet world big enough that an epidemic crosses the engine's
-/// sharded-sweep threshold (≥ 256 simultaneously infected hosts), so
-/// the sharded stage-A path actually runs rather than falling back to
-/// the serial sweep.
+/// A 320-host subnet world: 8 subnets of 40 hosts behind 2 backbone
+/// routers.
 fn sharded_world() -> World {
     World::from_subnets(
         generators::SubnetTopologyBuilder::new()
@@ -183,9 +180,10 @@ fn sharded_world() -> World {
     )
 }
 
-/// A busy sharded config: throttling filters feed the packet queues and
-/// a quarantine threshold keeps state transitions flowing, so every
-/// engine phase (scan, forward, detect, immunize) is exercised.
+/// A busy config recording `shards`: throttling filters feed the
+/// packet queues and a quarantine threshold keeps state transitions
+/// flowing, so every engine phase (scan, forward, detect, immunize) is
+/// exercised.
 fn sharded_config(world: &World, shards: u32, faults: FaultPlan) -> SimConfig {
     let hosts = world.hosts().to_vec();
     let mut plan = RateLimitPlan::none();
@@ -222,10 +220,9 @@ fn observed_run(world: &World, cfg: &SimConfig, seed: u64) -> (SimResult, Vec<u8
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The tentpole invariant: a single world stepped under any shard
-    /// count and fault plan produces the same `SimResult` **and the
-    /// same observer bytes** as the serial run. Sharding is a pure
-    /// performance knob.
+    /// A single world run under any recorded shard count and fault
+    /// plan produces the same `SimResult` **and the same observer
+    /// bytes** as the one-shard run.
     #[test]
     fn single_runs_are_shard_count_invariant(
         seed in 0u64..500,
@@ -255,10 +252,9 @@ proptest! {
     }
 
     /// Snapshot under one shard count, resume under another: the
-    /// snapshot captures per-host streams, not shard layout, so a run
-    /// can change its shard count mid-flight (or migrate to a machine
-    /// with a different core count) and stay bit-identical — including
-    /// the concatenated observer stream.
+    /// count is outside the config fingerprint, so the resume is
+    /// accepted and stays bit-identical — including the concatenated
+    /// observer stream.
     #[test]
     fn resume_across_shard_counts_is_bit_identical(
         seed in 0u64..200,
@@ -301,10 +297,9 @@ proptest! {
     }
 }
 
-/// The immunization sweep crosses its own sharded threshold only above
-/// 4096 unpatched hosts; this world holds ~5k so the per-shard hash
-/// evaluation genuinely runs, and must pick the same hosts in the same
-/// ascending-id order as the serial sorted-index sweep.
+/// An immunization-heavy run on a ~5k-host world: every recorded
+/// shard count must patch the same hosts in the same ascending-id
+/// order.
 #[test]
 fn sharded_immunization_sweep_is_shard_count_invariant() {
     let world = World::from_subnets(

@@ -6,13 +6,13 @@
 //! spec.
 //!
 //! The daemon must add no nondeterminism on top of the engine's
-//! contract: the suite runs under whatever `DYNAQUAR_THREADS` /
-//! `DYNAQUAR_SHARDS` the CI matrix sets, and both
-//! sides of every comparison see the same environment, so any
-//! divergence is the daemon's fault. Two fingerprint worlds (the capped
-//! hub with background traffic and the kitchen-sink fault plan) use
-//! `RateLimitPlan` / `FaultPlan` surfaces the spec schema deliberately
-//! does not expose; they are pinned engine-side and out of scope here.
+//! contract: the suite runs under whatever `DYNAQUAR_THREADS` the CI
+//! matrix sets, and both sides of every comparison see the same
+//! environment, so any divergence is the daemon's fault. Two
+//! fingerprint worlds (the capped hub with background traffic and the
+//! kitchen-sink fault plan) use `RateLimitPlan` / `FaultPlan` surfaces
+//! the spec schema deliberately does not expose; they are pinned
+//! engine-side and out of scope here.
 
 use dynaquar_core::spec::{parse_json, scenario_from_value, Value};
 use dynaquar_netsim::sim::{SimResult, Simulator};
